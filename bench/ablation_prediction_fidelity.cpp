@@ -19,8 +19,8 @@ int main() {
 
   constexpr double kTur = 1600.0;
   gridsim::ExecutorConfig env;
-  env.unreliable = gridsim::make_wm(120, /*gamma=*/0.82, kTur);
-  env.reliable = gridsim::make_tech(12);
+  env.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(120, /*gamma=*/0.82, kTur), gridsim::make_tech(12));
   env.seed = 0xF1DE;
   gridsim::Executor executor(env);
 

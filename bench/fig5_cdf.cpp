@@ -21,8 +21,9 @@ int main() {
   const auto bot = workload::make_bot(spec, 0xF15);
 
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_osg(200, /*gamma=*/0.827, spec.mean_cpu);
-  cfg.reliable = gridsim::make_tech(20);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_osg(200, /*gamma=*/0.827, spec.mean_cpu),
+      gridsim::make_tech(20));
   cfg.seed = 0xF15005;
   gridsim::Executor executor(cfg);
 

@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   const auto spec = workload::workload_spec(workload::WorkloadId::WL2);
   const auto bot = workload::make_bot(spec, 0x7ACE);
   gridsim::ExecutorConfig env;
-  env.unreliable = gridsim::make_osg(150, 0.84, spec.mean_cpu);
-  env.reliable = gridsim::make_tech(15);
+  env.environment = gridsim::env::Environment::classic(
+      gridsim::make_osg(150, 0.84, spec.mean_cpu), gridsim::make_tech(15));
   env.seed = 0x7777;
   gridsim::Executor executor(env);
   strategies::NTDMr p;

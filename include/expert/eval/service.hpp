@@ -26,9 +26,6 @@ struct BatchOptions {
   /// flattened (candidate x repetition) units onto the service's persistent
   /// pool. Results are identical either way (streams are key-derived).
   std::size_t threads = 0;
-  /// When false the batch bypasses the cache entirely (no lookups, no
-  /// inserts) — for benchmarks that need guaranteed-cold evaluations.
-  bool use_cache = true;
   /// Which consumer issued this batch ("frontier", "evolution",
   /// "sensitivity", "campaign", ...). Labels the per-batch wall-time
   /// histogram (`eval.batch.wall_seconds{consumer=...}`) so a metrics
@@ -96,21 +93,10 @@ class EvalService {
       const std::vector<strategies::NTDMr>& candidates,
       const BatchOptions& options = {});
 
-  /// Single-candidate convenience (serial, cached).
-  EvalResult evaluate_one(const core::Estimator& estimator,
-                          std::size_t task_count,
-                          const strategies::NTDMr& candidate,
-                          const BatchOptions& options = {});
-
   EvalCache& cache() noexcept { return cache_; }
   const EvalCache& cache() const noexcept { return cache_; }
 
  private:
-  /// Run body(i) for i in [0, n) on the persistent pool, returning after
-  /// exactly this batch's units finished (other concurrent batches share
-  /// the pool unobserved). First exception is rethrown on the caller.
-  void run_units(std::size_t n, const std::function<void(std::size_t)>& body);
-
   util::ThreadPool& pool();
 
   EvalCache cache_;

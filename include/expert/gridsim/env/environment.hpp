@@ -99,10 +99,9 @@ struct PoolSpec {
 };
 
 /// A named, content-digestable description of the resource mix a BoT runs
-/// on: N pools, each with a role and per-pool dynamics. The executor
-/// consumes exactly this; `ExecutorConfig`'s legacy
-/// {unreliable, optional reliable} pair is wrapped into the `classic()`
-/// environment when no explicit environment is given.
+/// on: N pools, each with a role and per-pool dynamics. It is the
+/// executor's only pool input (`ExecutorConfig::environment`); the paper's
+/// grid + cloud pair is the `classic()` environment.
 class Environment {
  public:
   Environment() = default;
@@ -126,11 +125,11 @@ class Environment {
 
   void validate() const;
 
-  /// The pre-seam two-pool shape: `unreliable` as a static Grid pool plus
-  /// an optional static Cloud pool. Executions of a classic environment
-  /// are byte-identical to the pre-refactor executor for equal seeds.
-  static Environment classic(const PoolConfig& unreliable,
-                             const std::optional<PoolConfig>& reliable);
+  /// The paper's two-pool shape: `unreliable` as a static Grid pool plus
+  /// an optional static Cloud pool (absent for pure-grid, N = inf, runs).
+  static Environment classic(
+      const PoolConfig& unreliable,
+      const std::optional<PoolConfig>& reliable = std::nullopt);
 
  private:
   std::string name_;

@@ -16,24 +16,16 @@ namespace expert::gridsim {
 
 /// Configuration of a machine-level BoT execution.
 struct ExecutorConfig {
-  PoolConfig unreliable;
-  /// Reliable pool; absent for pure-grid (N = inf) experiments.
-  std::optional<PoolConfig> reliable;
-  /// Pluggable environment seam: when set, the executor runs against this
-  /// environment — N pools with roles and per-pool dynamics — and the
-  /// legacy {unreliable, reliable} pair above is ignored. When absent, the
-  /// pair is wrapped into env::Environment::classic(), which executes
-  /// byte-identically to the pre-seam two-pool code for equal seeds.
-  std::optional<env::Environment> environment;
+  /// The pools the BoT runs on: N pools with roles and per-pool dynamics.
+  /// The paper's grid + optional cloud pair is env::Environment::classic().
+  env::Environment environment;
   /// Deadline of throughput-phase instances; 0 resolves to 4x the BoT's
   /// mean task CPU time (the paper's default).
   double throughput_deadline = 0.0;
   std::uint64_t seed = 0x6B1D51AULL;
-  /// Hard horizon. By default a run that exceeds it returns the partial
-  /// trace with `truncated()` set so callers can still characterize from
-  /// it; with `strict_horizon` the pre-chaos behaviour (throw) is kept.
+  /// Hard horizon. A run that exceeds it returns the partial trace with
+  /// `truncated()` set so callers can still characterize from it.
   double max_sim_time = 5.0e7;
-  bool strict_horizon = false;
   /// Deterministic fault-injection plan (see expert::chaos). Absent or
   /// all-zero leaves the execution byte-identical to a chaos-free build.
   std::optional<chaos::ChaosConfig> chaos;
@@ -60,10 +52,10 @@ class Executor {
 
   const ExecutorConfig& config() const noexcept { return config_; }
 
-  /// The resolved environment every run executes against: the explicit
-  /// `config.environment` when given, else the classic wrap of the legacy
-  /// pool pair.
-  const env::Environment& environment() const noexcept { return env_; }
+  /// The environment every run executes against.
+  const env::Environment& environment() const noexcept {
+    return config_.environment;
+  }
 
   /// Run the BoT to completion; deterministic in (config.seed, stream).
   trace::ExecutionTrace run(const workload::Bot& bot,
@@ -89,7 +81,6 @@ class Executor {
 
  private:
   ExecutorConfig config_;
-  env::Environment env_;
 };
 
 /// One send-time bucket of a trace's unreliable-pool reliability: of the

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <queue>
 #include <thread>
@@ -11,9 +10,9 @@
 
 namespace expert::util {
 
-/// Fixed-size thread pool. Tasks are plain std::function<void()>; the first
-/// exception escaping a task is captured and rethrown from the next
-/// wait_idle() call (later exceptions from the same batch are dropped).
+/// Fixed-size pool of persistent worker threads with one batch call,
+/// parallel_for. Each call hands out its indices through a cursor of its
+/// own, so concurrent callers share the workers without seeing each other.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads = 0);
@@ -22,10 +21,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  void submit(std::function<void()> task);
-  /// Block until every submitted task has finished, then rethrow the first
-  /// exception any of them threw (clearing it, so the pool stays usable).
-  void wait_idle();
+  /// Run body(i) for every i in [0, n) and return once all of them ran. At
+  /// most size() workers take part, each pulling the next index from the
+  /// call's atomic cursor, so a 1-thread pool runs the indices in order.
+  /// Every index runs even when some throw; the first exception is then
+  /// rethrown here. A body must not call parallel_for on its own pool.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body);
 
   std::size_t size() const noexcept { return workers_.size(); }
 
@@ -36,17 +38,7 @@ class ThreadPool {
   Mutex mutex_;
   std::queue<std::function<void()>> tasks_ EXPERT_GUARDED_BY(mutex_);
   CondVar task_ready_;
-  CondVar all_done_;
-  std::size_t in_flight_ EXPERT_GUARDED_BY(mutex_) = 0;
   bool stopping_ EXPERT_GUARDED_BY(mutex_) = false;
-  std::exception_ptr first_error_ EXPERT_GUARDED_BY(mutex_);
 };
-
-/// Run body(i) for i in [0, n) across a transient pool of `threads` workers
-/// (hardware concurrency when 0). Iterations are statically chunked so the
-/// assignment of iteration -> worker is deterministic; any exception thrown
-/// by an iteration is rethrown on the caller after all workers join.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
 
 }  // namespace expert::util

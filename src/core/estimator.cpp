@@ -145,24 +145,20 @@ class Run {
   };
 
   const PhaseRules& current_rules() const {
-    if (!tail_started_) return throughput_rules_;
+    return tail_started_ ? tail_rules_ : throughput_rules_;
+  }
+
+  /// The rules the tail phase of `strategy_` runs under.
+  PhaseRules tail_rules() const {
     switch (strategy_.tail_mode) {
       case TailMode::NTDMrTail:
-        if (!tail_rules_cached_) {
-          tail_rules_ = PhaseRules{strategy_.ntdmr.n, strategy_.ntdmr.timeout_t,
-                                   strategy_.ntdmr.deadline_d};
-          tail_rules_cached_ = true;
-        }
-        return tail_rules_;
+        return PhaseRules{strategy_.ntdmr.n, strategy_.ntdmr.timeout_t,
+                          strategy_.ntdmr.deadline_d};
       case TailMode::ReplicateAllReliable:
-        if (!tail_rules_cached_) {
-          tail_rules_ = PhaseRules{0u, 0.0, strategy_.ntdmr.deadline_d};
-          tail_rules_cached_ = true;
-        }
-        return tail_rules_;
+        return PhaseRules{0u, 0.0, strategy_.ntdmr.deadline_d};
       case TailMode::Continue:
       case TailMode::BudgetTriggered:
-        return throughput_rules_;
+        break;
     }
     return throughput_rules_;
   }
@@ -257,7 +253,6 @@ class Run {
     ++st.epoch;
     st.last_send = now;
     ++st.running;
-    const bool tail_send = tail_started_;
 
     if (pool == PoolKind::Unreliable) {
       ++busy_ur_;
@@ -288,7 +283,6 @@ class Run {
         on_finish(task, PoolKind::Reliable, now, cfg_.tr, true);
       });
     }
-    (void)tail_send;
     schedule_check(task);
   }
 
@@ -396,6 +390,7 @@ class Run {
     tail_started_ = true;
     t_tail_ = engine_.now();
     tail_tasks_ = remaining_;
+    tail_rules_ = tail_rules();
     for (workload::TaskId t = 0; t < tasks_.size(); ++t) {
       if (!tasks_[t].completed) consider_enqueue(t);
     }
@@ -431,8 +426,7 @@ class Run {
   std::vector<InstanceRecord> records_;
 
   PhaseRules throughput_rules_;
-  mutable PhaseRules tail_rules_;
-  mutable bool tail_rules_cached_ = false;
+  PhaseRules tail_rules_;  ///< set once, when the tail starts
 
   std::size_t l_ur_ = 0;
   std::size_t l_r_ = 0;

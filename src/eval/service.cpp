@@ -31,16 +31,6 @@ EvalObs& eval_obs() {
   return metrics;
 }
 
-/// Completion state of one evaluate() call. Batches from concurrent callers
-/// interleave on the shared pool, so each batch counts down its own units
-/// instead of waiting for the whole pool to drain.
-struct BatchState {
-  util::Mutex mutex;
-  util::CondVar done;
-  std::size_t remaining EXPERT_GUARDED_BY(mutex) = 0;
-  std::exception_ptr first_error EXPERT_GUARDED_BY(mutex);
-};
-
 }  // namespace
 
 EvalService::EvalService(std::size_t cache_capacity, std::size_t pool_threads)
@@ -57,35 +47,6 @@ util::ThreadPool& EvalService::pool() {
   util::MutexLock lock(pool_mutex_);
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(pool_threads_);
   return *pool_;
-}
-
-void EvalService::run_units(std::size_t n,
-                            const std::function<void(std::size_t)>& body) {
-  BatchState state;
-  {
-    util::MutexLock lock(state.mutex);
-    state.remaining = n;
-  }
-  util::ThreadPool& workers = pool();
-  for (std::size_t i = 0; i < n; ++i) {
-    workers.submit([&state, &body, i] {
-      try {
-        body(i);
-      } catch (...) {
-        util::MutexLock lock(state.mutex);
-        if (!state.first_error) state.first_error = std::current_exception();
-      }
-      util::MutexLock lock(state.mutex);
-      if (--state.remaining == 0) state.done.notify_all();
-    });
-  }
-  std::exception_ptr error;
-  {
-    util::MutexLock lock(state.mutex);
-    while (state.remaining > 0) state.done.wait(state.mutex);
-    error = state.first_error;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 std::vector<EvalResult> EvalService::evaluate(
@@ -113,8 +74,7 @@ std::vector<EvalResult> EvalService::evaluate(
           estimator.config(), estimator.model().digest(), candidates[i],
           task_count, repetitions, options.time_objective,
           options.cost_objective));
-      std::optional<CachedEval> cached =
-          options.use_cache ? cache_.lookup(keys.back()) : std::nullopt;
+      std::optional<CachedEval> cached = cache_.lookup(keys.back());
       if (cached) {
         results[i].point = std::move(cached->point);
         results[i].stddev = cached->stddev;
@@ -163,7 +123,7 @@ std::vector<EvalResult> EvalService::evaluate(
     if (options.threads == 1 || unit_count == 1) {
       for (std::size_t u = 0; u < unit_count; ++u) unit_body(u);
     } else {
-      run_units(unit_count, unit_body);
+      pool().parallel_for(unit_count, unit_body);
     }
 
     for (std::size_t m = 0; m < misses.size(); ++m) {
@@ -177,10 +137,8 @@ std::vector<EvalResult> EvalService::evaluate(
       out.point.cost = cost_metric(est.mean, options.cost_objective);
       out.stddev = est.stddev;
       out.from_cache = false;
-      if (options.use_cache) {
-        EXPERT_PHASE(CacheLookup);
-        cache_.insert(keys[i], CachedEval{out.point, out.stddev});
-      }
+      EXPERT_PHASE(CacheLookup);
+      cache_.insert(keys[i], CachedEval{out.point, out.stddev});
     }
 
     if (observed) eval_obs().units.inc(unit_count);
@@ -196,15 +154,6 @@ std::vector<EvalResult> EvalService::evaluate(
                  1e9);
   }
   return results;
-}
-
-EvalResult EvalService::evaluate_one(const core::Estimator& estimator,
-                                     std::size_t task_count,
-                                     const strategies::NTDMr& candidate,
-                                     const BatchOptions& options) {
-  BatchOptions serial = options;
-  serial.threads = 1;
-  return evaluate(estimator, task_count, {candidate}, serial)[0];
 }
 
 }  // namespace expert::eval

@@ -165,11 +165,10 @@ struct Machine {
 
 class Run {
  public:
-  Run(const ExecutorConfig& cfg, const env::Environment& env,
-      const workload::Bot& bot, StrategyConfig strategy, std::uint64_t stream,
+  Run(const ExecutorConfig& cfg, const workload::Bot& bot,
+      StrategyConfig strategy, std::uint64_t stream,
       const Executor::TailStrategySelector* selector = nullptr)
       : cfg_(cfg),
-        env_(env),
         bot_(bot),
         strategy_(std::move(strategy)),
         selector_(selector),
@@ -249,11 +248,7 @@ class Run {
     for (workload::TaskId t = 0; t < tasks_.size(); ++t) consider_enqueue(t);
     dispatch();
     engine_.run_until(cfg_.max_sim_time);
-    if (remaining_ > 0) {
-      EXPERT_CHECK(!cfg_.strict_horizon,
-                   "gridsim run hit the simulation horizon before completing");
-      return truncate_at_horizon();
-    }
+    if (remaining_ > 0) return truncate_at_horizon();
     flush_metrics();
     const double t_tail = tail_started_ ? t_tail_ : completion_time_;
     return trace::ExecutionTrace(tasks_.size(), std::move(records_), t_tail,
@@ -323,7 +318,7 @@ class Run {
   }
 
   void build_machines(std::uint64_t stream) {
-    const auto& pools = env_.pools();
+    const auto& pools = cfg_.environment.pools();
     obs_pools_.resize(pools.size());
     spot_paths_.resize(pools.size());
     for (std::size_t pi = 0; pi < pools.size(); ++pi) {
@@ -374,7 +369,8 @@ class Run {
     // the flash window. Appended after every base pool so machine indices
     // of the base pools are unchanged by the plan.
     if (chaos_->flash_fraction > 0.0) {
-      std::vector<std::size_t> extra_in_pool(env_.pools().size(), 0);
+      const auto& pools = cfg_.environment.pools();
+      std::vector<std::size_t> extra_in_pool(pools.size(), 0);
       for (std::size_t gi = 0; gi < grid_groups_.size(); ++gi) {
         const auto& g = *grid_groups_[gi].group;
         const std::size_t pi = grid_groups_[gi].pool_index;
@@ -386,7 +382,7 @@ class Run {
           m.pool_index = pi;
           m.group_in_pool = grid_groups_[gi].group_in_pool;
           m.ordinal_in_pool =
-              env_.pools()[pi].pool.total_machines() + extra_in_pool[pi]++;
+              pools[pi].pool.total_machines() + extra_in_pool[pi]++;
           m.grid_group = gi;
           m.price = g.price;
           m.failure_notice_prob = g.failure_notice_prob;
@@ -438,7 +434,7 @@ class Run {
   /// dynamics draw comes from its own (spec.seed, stream) domain, never
   /// from the scheduling stream.
   void apply_dynamics(std::uint64_t stream) {
-    const auto& pools = env_.pools();
+    const auto& pools = cfg_.environment.pools();
     for (std::size_t pi = 0; pi < pools.size(); ++pi) {
       const auto& spec = pools[pi];
       auto& pool_obs = obs_pools_[pi];
@@ -630,24 +626,20 @@ class Run {
   // ---- scheduler (same replication semantics as the ExPERT Estimator) ----
 
   const PhaseRules& current_rules() const {
-    if (!tail_started_) return throughput_rules_;
+    return tail_started_ ? tail_rules_ : throughput_rules_;
+  }
+
+  /// The rules the tail phase of `strategy_` runs under.
+  PhaseRules tail_rules() const {
     switch (strategy_.tail_mode) {
       case TailMode::NTDMrTail:
-        if (!tail_rules_cached_) {
-          tail_rules_ = PhaseRules{strategy_.ntdmr.n, strategy_.ntdmr.timeout_t,
-                                   strategy_.ntdmr.deadline_d};
-          tail_rules_cached_ = true;
-        }
-        return tail_rules_;
+        return PhaseRules{strategy_.ntdmr.n, strategy_.ntdmr.timeout_t,
+                          strategy_.ntdmr.deadline_d};
       case TailMode::ReplicateAllReliable:
-        if (!tail_rules_cached_) {
-          tail_rules_ = PhaseRules{0u, 0.0, strategy_.ntdmr.deadline_d};
-          tail_rules_cached_ = true;
-        }
-        return tail_rules_;
+        return PhaseRules{0u, 0.0, strategy_.ntdmr.deadline_d};
       case TailMode::Continue:
       case TailMode::BudgetTriggered:
-        return throughput_rules_;
+        break;
     }
     return throughput_rules_;
   }
@@ -1018,8 +1010,8 @@ class Run {
       // already played out.
       chosen.throughput = strategy_.throughput;
       strategy_ = std::move(chosen);
-      tail_rules_cached_ = false;
     }
+    tail_rules_ = tail_rules();
     for (workload::TaskId t = 0; t < tasks_.size(); ++t) {
       if (!tasks_[t].completed) consider_enqueue(t);
     }
@@ -1072,7 +1064,7 @@ class Run {
   /// Obs label value of a pool: its name, falling back to the legacy
   /// role-based values for unnamed pools.
   std::string pool_label(std::size_t pool_index) const {
-    const auto& spec = env_.pools()[pool_index];
+    const auto& spec = cfg_.environment.pools()[pool_index];
     if (!spec.pool.name.empty()) return spec.pool.name;
     return spec.role == env::PoolRole::Cloud ? "reliable" : "unreliable";
   }
@@ -1147,7 +1139,6 @@ class Run {
   };
 
   const ExecutorConfig& cfg_;
-  const env::Environment& env_;
   const workload::Bot& bot_;
   StrategyConfig strategy_;
   const Executor::TailStrategySelector* selector_ = nullptr;
@@ -1171,8 +1162,7 @@ class Run {
   std::vector<InstanceRecord> records_;
 
   PhaseRules throughput_rules_;
-  mutable PhaseRules tail_rules_;
-  mutable bool tail_rules_cached_ = false;
+  PhaseRules tail_rules_;  ///< set once, when the tail starts
 
   std::size_t unreliable_count_ = 0;
   std::size_t reliable_count_ = 0;
@@ -1192,19 +1182,14 @@ class Run {
   std::uint64_t obs_down_ = 0;
   std::uint64_t obs_up_ = 0;
   std::uint64_t obs_truncated_ = 0;
-  /// Per-pool metric deltas, indexed like env_.pools().
+  /// Per-pool metric deltas, indexed like cfg_.environment.pools().
   std::vector<PoolCounters> obs_pools_;
 };
 
 }  // namespace
 
 void ExecutorConfig::validate() const {
-  if (environment) {
-    environment->validate();
-  } else {
-    unreliable.validate();
-    if (reliable) reliable->validate();
-  }
+  environment.validate();
   EXPERT_REQUIRE(max_sim_time > 0.0, "horizon must be positive");
   EXPERT_REQUIRE(throughput_deadline >= 0.0,
                  "throughput deadline must be non-negative");
@@ -1213,9 +1198,6 @@ void ExecutorConfig::validate() const {
 
 Executor::Executor(ExecutorConfig config) : config_(std::move(config)) {
   config_.validate();
-  env_ = config_.environment
-             ? *config_.environment
-             : env::Environment::classic(config_.unreliable, config_.reliable);
 }
 
 trace::ExecutionTrace Executor::run(const workload::Bot& bot,
@@ -1223,7 +1205,7 @@ trace::ExecutionTrace Executor::run(const workload::Bot& bot,
                                     std::uint64_t stream) const {
   EXPERT_SPAN("executor.run");
   strategy.validate();
-  Run run(config_, env_, bot, strategy, stream);
+  Run run(config_, bot, strategy, stream);
   return run.execute();
 }
 
@@ -1233,7 +1215,7 @@ trace::ExecutionTrace Executor::run_adaptive(
   EXPERT_SPAN("executor.run_adaptive");
   initial.validate();
   EXPERT_REQUIRE(selector != nullptr, "run_adaptive needs a selector");
-  Run run(config_, env_, bot, initial, stream, &selector);
+  Run run(config_, bot, initial, stream, &selector);
   return run.execute();
 }
 

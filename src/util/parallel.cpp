@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <mutex>
 #include <utility>
 
 namespace expert::util {
@@ -25,21 +24,49 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  // State of this call only; it outlives every task below because the
+  // caller waits for `running` to reach zero before returning.
+  struct Batch {
+    std::atomic<std::size_t> next{0};
+    Mutex mutex;
+    CondVar done;
+    std::size_t running EXPERT_GUARDED_BY(mutex) = 0;
+    std::exception_ptr first_error EXPERT_GUARDED_BY(mutex);
+  } batch;
+  const std::size_t tasks = std::min(n, workers_.size());
+  {
+    MutexLock lock(batch.mutex);
+    batch.running = tasks;
+  }
+  const auto drain = [&batch, &body, n] {
+    std::exception_ptr error;
+    for (;;) {
+      const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      try {
+        body(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    MutexLock lock(batch.mutex);
+    if (error && !batch.first_error) batch.first_error = std::move(error);
+    if (--batch.running == 0) batch.done.notify_all();
+  };
   {
     MutexLock lock(mutex_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
+    for (std::size_t t = 0; t < tasks; ++t) tasks_.push(drain);
   }
-  task_ready_.notify_one();
-}
+  for (std::size_t t = 0; t < tasks; ++t) task_ready_.notify_one();
 
-void ThreadPool::wait_idle() {
   std::exception_ptr error;
   {
-    MutexLock lock(mutex_);
-    while (in_flight_ != 0) all_done_.wait(mutex_);
-    error = std::exchange(first_error_, nullptr);
+    MutexLock lock(batch.mutex);
+    while (batch.running > 0) batch.done.wait(batch.mutex);
+    error = batch.first_error;
   }
   if (error) std::rethrow_exception(error);
 }
@@ -54,55 +81,8 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      MutexLock lock(mutex_);
-      if (error && !first_error_) first_error_ = std::move(error);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    task();  // a parallel_for drain: catches every exception itself
   }
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  if (n == 0) return;
-  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  threads = std::min(threads, n);
-  if (threads == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  // Dynamic chunking by single index: estimator runs dominate each iteration,
-  // so per-index dispatch overhead is negligible and balances uneven work.
-  auto run = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(threads - 1);
-  for (std::size_t t = 0; t + 1 < threads; ++t) workers.emplace_back(run);
-  run();
-  for (auto& worker : workers) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace expert::util

@@ -132,19 +132,23 @@ TEST(EvalService, RepeatBatchIsServedFromCache) {
   EXPECT_EQ(stats.misses, candidates.size());
 }
 
-TEST(EvalService, UseCacheFalseBypassesTheCache) {
-  EvalService service;
+TEST(EvalService, ZeroCapacityServiceEvaluatesCold) {
+  // A capacity-0 service stores nothing (as `--eval-cache 0` does), so a
+  // repeat batch re-simulates and matches a cached service's results.
+  EvalService service(/*cache_capacity=*/0);
   const auto estimator = test_estimator();
   const auto candidates = candidate_list();
-  BatchOptions uncached;
-  uncached.use_cache = false;
-  const auto a = service.evaluate(estimator, 60, candidates, uncached);
-  const auto b = service.evaluate(estimator, 60, candidates, uncached);
+  const auto a = service.evaluate(estimator, 60, candidates);
+  const auto b = service.evaluate(estimator, 60, candidates);
   for (const auto& r : b) EXPECT_FALSE(r.from_cache);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);
+  EvalService cached;
+  const auto c = cached.evaluate(estimator, 60, candidates);
+  for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], c[i]);
   const auto stats = service.cache().stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2 * candidates.size());
   EXPECT_EQ(stats.entries, 0u);
 }
 
@@ -172,9 +176,12 @@ TEST(EvalService, EvaluateOneMatchesBatch) {
   EvalService batch_service;
   const auto batch = batch_service.evaluate(estimator, 60, candidates);
   EvalService single_service;
+  BatchOptions serial;
+  serial.threads = 1;
   const auto one =
-      single_service.evaluate_one(estimator, 60, candidates[3]);
-  expect_identical(batch[3], one);
+      single_service.evaluate(estimator, 60, {candidates[3]}, serial);
+  ASSERT_EQ(one.size(), 1u);
+  expect_identical(batch[3], one[0]);
 }
 
 // Acceptance: a second identical frontier sweep performs ZERO

@@ -70,10 +70,11 @@ TEST(AvailabilityTrace, CsvRejectsMissingHeader) {
 TEST(TraceDrivenExecutor, AlwaysUpTraceBehavesLikePerfectPool) {
   auto trace = std::make_shared<AvailabilityTrace>(
       std::vector<std::vector<UpInterval>>(10, {{0.0, 1.0e9}}));
+  auto grid = make_wm(10, 0.9, 1000.0);
+  grid.groups[0].trace = trace;
+  grid.groups[0].speed_cv = 0.0;
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(10, 0.9, 1000.0);
-  cfg.unreliable.groups[0].trace = trace;
-  cfg.unreliable.groups[0].speed_cv = 0.0;
+  cfg.environment = env::Environment::classic(grid);
   cfg.seed = 3;
   Executor ex(cfg);
   const auto bot =
@@ -94,10 +95,10 @@ TEST(TraceDrivenExecutor, ChurningTraceCausesFailures) {
   }
   auto trace = std::make_shared<AvailabilityTrace>(
       std::vector<std::vector<UpInterval>>(20, flapping));
+  auto grid = make_wm(20, 0.9, 1000.0);
+  grid.groups[0].trace = trace;
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(20, 0.9, 1000.0);
-  cfg.unreliable.groups[0].trace = trace;
-  cfg.reliable = make_tech(5);
+  cfg.environment = env::Environment::classic(grid, make_tech(5));
   cfg.seed = 4;
   Executor ex(cfg);
   const auto bot =
@@ -121,11 +122,11 @@ TEST(TraceDrivenExecutor, DeadPoolFallsBackToReliableInTail) {
   // instances only.
   auto trace = std::make_shared<AvailabilityTrace>(
       std::vector<std::vector<UpInterval>>(5, {{0.0, 3000.0}}));
+  auto grid = make_wm(5, 0.9, 4000.0);
+  grid.groups[0].trace = trace;
+  grid.groups[0].speed_cv = 0.0;
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(5, 0.9, 4000.0);
-  cfg.unreliable.groups[0].trace = trace;
-  cfg.unreliable.groups[0].speed_cv = 0.0;
-  cfg.reliable = make_tech(5);
+  cfg.environment = env::Environment::classic(grid, make_tech(5));
   cfg.seed = 5;
   Executor ex(cfg);
   const auto bot =

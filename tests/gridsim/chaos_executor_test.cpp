@@ -32,8 +32,8 @@ workload::Bot small_bot(std::size_t tasks = 60) {
 ExecutorConfig grid_plus_cluster(std::size_t machines = 30,
                                  double gamma = 0.9) {
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(machines, gamma, 1000.0);
-  cfg.reliable = make_tech(5);
+  cfg.environment =
+      env::Environment::classic(make_wm(machines, gamma, 1000.0), make_tech(5));
   cfg.seed = 4242;
   return cfg;
 }
@@ -164,7 +164,8 @@ TEST(ChaosExecutor, ResultLossLooksLikeSilentFailure) {
   // the loss channel's footprint.
   const auto bot = small_bot(30);
   ExecutorConfig cfg;
-  cfg.unreliable = make_tech(10);  // always up, never dies
+  // Always up, never dies.
+  cfg.environment = env::Environment::classic(make_tech(10));
   cfg.seed = 77;
   chaos::ChaosConfig plan;
   plan.result_loss_prob = 0.3;
@@ -242,7 +243,7 @@ TEST(ChaosExecutor, HorizonTruncationReturnsPartialTrace) {
   // the horizon and come back truncated instead of throwing.
   const auto bot = small_bot(20);
   ExecutorConfig cfg;
-  cfg.unreliable = make_tech(10);
+  cfg.environment = env::Environment::classic(make_tech(10));
   cfg.seed = 5;
   cfg.max_sim_time = 50000.0;
   chaos::ChaosConfig plan;
@@ -256,23 +257,6 @@ TEST(ChaosExecutor, HorizonTruncationReturnsPartialTrace) {
   EXPECT_DOUBLE_EQ(trace.makespan(), cfg.max_sim_time);
   EXPECT_FALSE(trace.records().empty());
   expect_sane(trace);
-}
-
-TEST(ChaosExecutor, StrictHorizonStillThrows) {
-  const auto bot = small_bot(20);
-  ExecutorConfig cfg;
-  cfg.unreliable = make_tech(10);
-  cfg.seed = 5;
-  cfg.max_sim_time = 50000.0;
-  cfg.strict_horizon = true;
-  chaos::ChaosConfig plan;
-  plan.result_loss_prob = 1.0;
-  cfg.chaos = plan;
-  Executor ex(cfg);
-
-  EXPECT_THROW(ex.run(bot, make_static_strategy(StaticStrategyKind::AUR,
-                                                1000.0, 0.0)),
-               util::ContractViolation);
 }
 
 TEST(ChaosExecutor, FaultsAreVisibleInObsMetrics) {

@@ -18,6 +18,7 @@
 #include "expert/gridsim/presets.hpp"
 #include "expert/gridsim/scenarios.hpp"
 #include "expert/trace/csv_io.hpp"
+#include "expert/util/assert.hpp"
 #include "expert/util/hash.hpp"
 #include "expert/util/money.hpp"
 #include "expert/workload/presets.hpp"
@@ -90,15 +91,17 @@ TEST(EnvGolden, ClassicExperiment11FrontierByteIdentical) {
             0x2ef993c7f501ebeaULL);
 }
 
-TEST(EnvGolden, LegacyPairEqualsExplicitClassicEnvironment) {
-  // The seam itself must be invisible: an ExecutorConfig carrying only the
-  // legacy {unreliable, reliable} pair and one carrying the equivalent
-  // explicit classic environment produce the same trace bytes.
-  const auto explicit_cfg =
-      make_experiment_environment(experiment11(), 0x601DULL);
-  auto legacy_cfg = explicit_cfg;
-  legacy_cfg.environment.reset();
-  EXPECT_EQ(run_csv(legacy_cfg), run_csv(explicit_cfg));
+TEST(EnvGolden, ConfigWithoutPoolsIsRejected) {
+  // The environment is the executor's only pool input: a default config
+  // has none and must fail Environment::validate instead of running.
+  try {
+    const Executor executor{ExecutorConfig{}};
+    FAIL() << "an executor without pools must not construct";
+  } catch (const util::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("at least one pool"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ TEST_P(ExecutorInvariants, HoldForEveryConfiguration) {
   const auto [gamma, n, mr, osg] = GetParam();
   constexpr double kMean = 1000.0;
   ExecutorConfig cfg;
-  cfg.unreliable = osg ? make_osg(30, gamma, kMean) : make_wm(30, gamma, kMean);
-  cfg.reliable = make_tech(8);
+  cfg.environment = env::Environment::classic(
+      osg ? make_osg(30, gamma, kMean) : make_wm(30, gamma, kMean),
+      make_tech(8));
   cfg.seed = 0x9147 + static_cast<std::uint64_t>(n);
   Executor ex(cfg);
   const auto bot =
@@ -105,8 +106,8 @@ TEST(ExecutorTrends, LowerGammaMeansMoreInstances) {
   double prev_instances = 0.0;
   for (double gamma : {0.95, 0.8, 0.65}) {
     ExecutorConfig cfg;
-    cfg.unreliable = make_wm(40, gamma, kMean);
-    cfg.reliable = make_tech(10);
+    cfg.environment =
+        env::Environment::classic(make_wm(40, gamma, kMean), make_tech(10));
     cfg.seed = 0x1F0;
     const auto tr = Executor(cfg).run(bot, make_ntdmr_strategy(p));
     std::size_t sent = 0;
@@ -127,7 +128,7 @@ TEST(ExecutorTrends, MorePoolsMoreThroughput) {
   double prev = 1e300;
   for (std::size_t machines : {20u, 40u, 80u}) {
     ExecutorConfig cfg;
-    cfg.unreliable = make_wm(machines, 0.9, kMean);
+    cfg.environment = env::Environment::classic(make_wm(machines, 0.9, kMean));
     cfg.seed = 0x2F0;
     const auto tr = Executor(cfg).run(bot, strategy);
     EXPECT_LT(tr.makespan(), prev * 1.02) << machines;

@@ -19,13 +19,16 @@ workload::Bot small_bot(std::size_t tasks = 60) {
                                       2500.0, 99);
 }
 
-ExecutorConfig grid_plus_cluster(std::size_t machines = 30,
-                                 double gamma = 0.9) {
+ExecutorConfig grid_plus_cluster(const PoolConfig& grid) {
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(machines, gamma, 1000.0);
-  cfg.reliable = make_tech(5);
+  cfg.environment = env::Environment::classic(grid, make_tech(5));
   cfg.seed = 4242;
   return cfg;
+}
+
+ExecutorConfig grid_plus_cluster(std::size_t machines = 30,
+                                 double gamma = 0.9) {
+  return grid_plus_cluster(make_wm(machines, gamma, 1000.0));
 }
 
 NTDMr tail_params(unsigned n, double t, double d, double mr) {
@@ -66,7 +69,8 @@ TEST(Executor, DeterministicInSeedAndStream) {
 
 TEST(Executor, PerfectPoolNeverFailsAnInstance) {
   ExecutorConfig cfg;
-  cfg.unreliable = make_tech(10);  // perfectly reliable "unreliable" pool
+  // A perfectly reliable "unreliable" pool.
+  cfg.environment = env::Environment::classic(make_tech(10));
   cfg.seed = 7;
   Executor ex(cfg);
   const auto bot = small_bot(25);
@@ -82,8 +86,8 @@ TEST(Executor, ObservedReliabilityTracksCalibration) {
                                                 2500.0, 5);
   for (double gamma : {0.75, 0.9}) {
     ExecutorConfig cfg;
-    cfg.unreliable = make_wm(50, gamma, 1000.0);
-    cfg.reliable = make_tech(5);
+    cfg.environment =
+        env::Environment::classic(make_wm(50, gamma, 1000.0), make_tech(5));
     cfg.seed = 11;
     Executor ex(cfg);
     const auto trace = ex.run(
@@ -114,7 +118,7 @@ TEST(Executor, AURNeverUsesReliablePool) {
 
 TEST(Executor, ReliableOnlyWithoutReliablePoolThrows) {
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(10, 0.9, 1000.0);
+  cfg.environment = env::Environment::classic(make_wm(10, 0.9, 1000.0));
   cfg.seed = 1;
   Executor ex(cfg);
   const auto bot = small_bot(5);
@@ -173,8 +177,8 @@ TEST(Executor, BudgetStrategyStaysNearBudget) {
 TEST(Executor, CombinedPoolOverflowsToReliable) {
   // 5 unreliable machines, 40 tasks: CN-inf must spill work to reliable.
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(5, 0.9, 1000.0);
-  cfg.reliable = make_tech(5);
+  cfg.environment =
+      env::Environment::classic(make_wm(5, 0.9, 1000.0), make_tech(5));
   cfg.seed = 21;
   Executor ex(cfg);
   const auto bot = small_bot(40);
@@ -191,10 +195,10 @@ TEST(Executor, ResourceExclusionRaisesReliabilityOverTime) {
   // throughput-phase windows only (identical task mix).
   const auto bot = workload::make_synthetic_bot("xl", 800, 1000.0, 400.0,
                                                 2500.0, 31);
+  auto grid = make_wm(40, 0.75, 1000.0);
+  grid.groups[0].availability_cv = 1.2;
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(40, 0.75, 1000.0);
-  cfg.unreliable.groups[0].availability_cv = 1.2;
-  cfg.reliable = make_tech(8);
+  cfg.environment = env::Environment::classic(grid, make_tech(8));
   cfg.seed = 77;
   const auto strategy =
       make_ntdmr_strategy(tail_params(2, 1000.0, 2000.0, 0.1));
@@ -219,10 +223,10 @@ TEST(Executor, ExclusionDisabledKeepsHostsStable) {
   // Same flaky environment without exclusion: no systematic improvement.
   const auto bot = workload::make_synthetic_bot("xl", 800, 1000.0, 400.0,
                                                 2500.0, 31);
+  auto grid = make_wm(40, 0.75, 1000.0);
+  grid.groups[0].availability_cv = 1.2;
   ExecutorConfig cfg;
-  cfg.unreliable = make_wm(40, 0.75, 1000.0);
-  cfg.unreliable.groups[0].availability_cv = 1.2;
-  cfg.reliable = make_tech(8);
+  cfg.environment = env::Environment::classic(grid, make_tech(8));
   cfg.seed = 77;
   Executor ex(cfg);
   const auto trace =
@@ -235,11 +239,11 @@ TEST(Executor, ExclusionDisabledKeepsHostsStable) {
 
 TEST(Executor, QueueWaitLengthensTurnaroundsButNotCost) {
   const auto bot = small_bot(40);
-  auto cfg = grid_plus_cluster(20, 0.95);
-  for (auto& g : cfg.unreliable.groups) g.mean_queue_wait_s = 0.0;
-  Executor instant(cfg);
-  for (auto& g : cfg.unreliable.groups) g.mean_queue_wait_s = 400.0;
-  Executor queued(cfg);
+  auto grid = make_wm(20, 0.95, 1000.0);
+  for (auto& g : grid.groups) g.mean_queue_wait_s = 0.0;
+  Executor instant(grid_plus_cluster(grid));
+  for (auto& g : grid.groups) g.mean_queue_wait_s = 400.0;
+  Executor queued(grid_plus_cluster(grid));
   const auto strategy =
       make_ntdmr_strategy(tail_params(1, 1000.0, 3000.0, 0.1));
   const auto fast = instant.run(bot, strategy);
@@ -261,10 +265,10 @@ TEST(Executor, QueueWaitLengthensTurnaroundsButNotCost) {
 
 TEST(Executor, FasterMachinesShortenMakespan) {
   const auto bot = small_bot(50);
-  auto cfg = grid_plus_cluster(20, 0.95);
-  Executor slow(cfg);
-  for (auto& g : cfg.unreliable.groups) g.speed_mean = 2.0;
-  Executor fast(cfg);
+  auto grid = make_wm(20, 0.95, 1000.0);
+  Executor slow(grid_plus_cluster(grid));
+  for (auto& g : grid.groups) g.speed_mean = 2.0;
+  Executor fast(grid_plus_cluster(grid));
   const auto strategy = make_ntdmr_strategy(tail_params(1, 1000.0, 2000.0, 0.1));
   EXPECT_LT(fast.run(bot, strategy).makespan(),
             slow.run(bot, strategy).makespan());

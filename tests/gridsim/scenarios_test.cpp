@@ -40,13 +40,12 @@ TEST(TableVScenarios, EnvironmentsValidateAndMatchSizes) {
   for (const auto& exp : table_v_experiments()) {
     const auto env = make_experiment_environment(exp, 1);
     EXPECT_NO_THROW(env.validate()) << "experiment " << exp.number;
-    EXPECT_EQ(env.unreliable.total_machines(), exp.unreliable_size)
+    EXPECT_EQ(env.environment.grid_machines(), exp.unreliable_size)
         << "experiment " << exp.number;
     if (exp.reliable == TableVExperiment::ReliableKind::None) {
-      EXPECT_FALSE(env.reliable.has_value());
+      EXPECT_FALSE(env.environment.has_cloud());
     } else {
-      ASSERT_TRUE(env.reliable.has_value());
-      EXPECT_EQ(env.reliable->total_machines(), 20u);
+      EXPECT_EQ(env.environment.cloud_machines(), 20u);
     }
   }
 }
@@ -71,12 +70,11 @@ TEST(TableVScenarios, ExperimentElevenRunsEndToEnd) {
   ASSERT_EQ(exp.number, 11);
   const auto env = make_experiment_environment(exp, 2);
   // Shrink for test speed: a fifth of the machines, a fifth of the tasks.
-  // The explicit environment is authoritative, so re-wrap the shrunken
-  // legacy pair instead of leaving a stale full-size environment behind.
+  auto grid = env.environment.pools()[0].pool;
+  for (auto& g : grid.groups) g.count /= 5;
   auto small_env = env;
-  for (auto& g : small_env.unreliable.groups) g.count /= 5;
   small_env.environment =
-      env::Environment::classic(small_env.unreliable, small_env.reliable);
+      env::Environment::classic(grid, env.environment.pools()[1].pool);
   Executor ex(small_env);
   const auto& wl = workload::workload_spec(exp.workload);
   const auto bot = workload::make_synthetic_bot(

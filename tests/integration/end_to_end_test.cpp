@@ -19,8 +19,8 @@ class EndToEnd : public ::testing::Test {
 
   static trace::ExecutionTrace history() {
     gridsim::ExecutorConfig cfg;
-    cfg.unreliable = gridsim::make_wm(40, 0.85, kMeanCpu);
-    cfg.reliable = gridsim::make_tech(8);
+    cfg.environment = gridsim::env::Environment::classic(
+        gridsim::make_wm(40, 0.85, kMeanCpu), gridsim::make_tech(8));
     cfg.seed = 515;
     gridsim::Executor ex(cfg);
     const auto bot = workload::make_synthetic_bot("history-bot", 200, kMeanCpu,

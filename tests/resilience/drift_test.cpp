@@ -210,11 +210,12 @@ TEST(DriftCampaign, PoolDegradationTripsAndRecharacterizes) {
   // leave only the post-drift trace as characterization history.
   constexpr double kMeanCpu = 1000.0;
   gridsim::ExecutorConfig good;
-  good.unreliable = gridsim::make_wm(40, 0.85, kMeanCpu);
-  good.reliable = gridsim::make_tech(10);
+  good.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, 0.85, kMeanCpu), gridsim::make_tech(10));
   good.seed = 0xD41F7;
   gridsim::ExecutorConfig bad = good;
-  bad.unreliable = gridsim::make_wm(40, 0.2, kMeanCpu);
+  bad.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, 0.2, kMeanCpu), gridsim::make_tech(10));
 
   auto calls = std::make_shared<std::size_t>(0);
   Campaign::Backend backend =

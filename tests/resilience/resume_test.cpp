@@ -23,8 +23,8 @@ constexpr std::size_t kBots = 6;
 
 Campaign::Backend backend() {
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(40, 0.82, kMeanCpu);
-  cfg.reliable = gridsim::make_tech(10);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, 0.82, kMeanCpu), gridsim::make_tech(10));
   cfg.seed = 0x4E5;
   return [cfg](const workload::Bot& bot,
                const strategies::StrategyConfig& strategy,

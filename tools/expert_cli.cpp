@@ -114,7 +114,8 @@ int usage() {
       "               [--tur S] [--reps R]\n"
       "  execute      [--experiment 1..13] [--reps R] [--mode online|offline]\n"
       "               [--seed S] [--chaos PLAN] [--bots K] [--utility U]\n"
-      "               PLAN e.g. 'blackouts=2,dispatch_fail=0.2,loss=0.05'\n"
+      "               PLAN e.g. 'blackouts=2,blackout_window=40000,\n"
+      "               blackout_duration=5000,dispatch_fail=0.2,loss=0.05'\n"
       "               [--journal FILE] (journal each finished BoT)\n"
       "               [--resume] (continue a killed campaign from --journal)\n"
       "               [--drift] (online gamma/turnaround drift detection)\n"
@@ -150,26 +151,45 @@ trace::ExecutionTrace load_trace(const std::string& path) {
   return trace::read_csv(in);
 }
 
+core::ReliabilityMode parse_mode(const util::Args& args) {
+  const std::string mode = args.option_or("mode", "online");
+  EXPERT_REQUIRE(mode == "online" || mode == "offline",
+                 "--mode must be online or offline");
+  return mode == "online" ? core::ReliabilityMode::Online
+                          : core::ReliabilityMode::Offline;
+}
+
 core::ExpertOptions expert_options(const util::Args& args) {
   core::ExpertOptions options;
   options.repetitions =
       static_cast<std::size_t>(args.number_or("reps", 10.0));
-  const std::string mode = args.option_or("mode", "online");
-  EXPERT_REQUIRE(mode == "online" || mode == "offline",
-                 "--mode must be online or offline");
-  options.characterization.mode = mode == "online"
-                                      ? core::ReliabilityMode::Online
-                                      : core::ReliabilityMode::Offline;
+  options.characterization.mode = parse_mode(args);
   return options;
+}
+
+/// The Estimator over a synthetic pool model that `simulate`, `profile`
+/// and `sensitivity` share: --pool machines of reliability --gamma with
+/// mean turnaround --tur, averaged over --reps repetitions.
+core::Estimator synthetic_estimator(const util::Args& args,
+                                    double default_reps) {
+  const double tur = args.number_or("tur", 2066.0);
+  const auto pool = static_cast<std::size_t>(args.number_or("pool", 50.0));
+  const double gamma = args.number_or("gamma", 0.85);
+  core::UserParams params;
+  params.tur = tur;
+  params.tr = tur;
+  auto cfg = core::EstimatorConfig::from_user_params(params, pool);
+  cfg.repetitions =
+      static_cast<std::size_t>(args.number_or("reps", default_reps));
+  return core::Estimator(
+      cfg, core::make_synthetic_model(tur, 0.15 * tur, 3.0 * tur, gamma));
 }
 
 int cmd_characterize(const util::Args& args) {
   EXPERT_SPAN("cli.characterize");
-  const auto history = load_trace(args.required("trace"));
   core::CharacterizationOptions opts;
-  const std::string mode = args.option_or("mode", "online");
-  opts.mode = mode == "offline" ? core::ReliabilityMode::Offline
-                                : core::ReliabilityMode::Online;
+  opts.mode = parse_mode(args);
+  const auto history = load_trace(args.required("trace"));
   opts.instance_deadline = args.number_or("deadline", 0.0);
   const auto checked = core::characterize_checked(history, opts);
   const auto& quality = checked.quality;
@@ -214,10 +234,47 @@ int cmd_characterize(const util::Args& args) {
   return 0;
 }
 
-const gridsim::TableVExperiment* find_experiment(int number);
-std::uint64_t apply_architecture(const util::Args& args,
-                                 const gridsim::TableVExperiment& exp,
-                                 gridsim::ExecutorConfig& env);
+/// A Table V experiment's executor config as --experiment, --seed,
+/// --chaos and --arch select it. `frontier`, `execute` and `worker` all
+/// build it here, so a self-exec'd worker reproduces its parent's
+/// environment byte for byte.
+struct ExperimentEnvironment {
+  const gridsim::TableVExperiment& exp;
+  std::uint64_t seed = 0;  ///< --seed
+  gridsim::ExecutorConfig config;
+  /// Eval-key environment digest: 0 for classic, so classic eval keys and
+  /// RNG streams stay those of the pre-architecture CLI.
+  std::uint64_t digest = 0;
+};
+
+ExperimentEnvironment experiment_environment(const util::Args& args) {
+  const int number = static_cast<int>(args.number_or("experiment", 11.0));
+  const gridsim::TableVExperiment* exp = nullptr;
+  for (const auto& e : gridsim::table_v_experiments()) {
+    if (e.number == number) exp = &e;
+  }
+  EXPERT_REQUIRE(exp != nullptr,
+                 "--experiment must name a Table V row (1..13)");
+  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
+  const std::uint64_t env_seed =
+      0x7AB1E + seed + static_cast<std::uint64_t>(number);
+  ExperimentEnvironment out{
+      *exp, seed, gridsim::make_experiment_environment(*exp, env_seed)};
+  if (const auto plan = args.option("chaos")) {
+    out.config.chaos = chaos::parse_chaos_plan(*plan);
+  }
+  // Any architecture but classic swaps in its reference environment, at
+  // the row's grid size and gamma calibration.
+  const auto arch =
+      gridsim::env::parse_architecture(args.option_or("arch", "classic"));
+  if (arch != gridsim::env::Architecture::Classic) {
+    out.config.environment = gridsim::env::make_reference_environment(
+        arch, exp->unreliable_size, exp->gamma,
+        workload::workload_spec(exp->workload).mean_cpu);
+    out.digest = out.config.environment.digest();
+  }
+  return out;
+}
 
 int cmd_frontier(const util::Args& args) {
   EXPERT_SPAN("cli.frontier");
@@ -233,18 +290,13 @@ int cmd_frontier(const util::Args& args) {
     // environment, then characterize that trace exactly as a loaded one.
     EXPERT_REQUIRE(args.option("arch").has_value(),
                    "--trace is required (or pass --arch to synthesize one)");
-    const int number = static_cast<int>(args.number_or("experiment", 11.0));
-    const gridsim::TableVExperiment* exp = find_experiment(number);
-    EXPERT_REQUIRE(exp != nullptr,
-                   "--experiment must name a Table V row (1..13)");
-    const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
-    auto env = gridsim::make_experiment_environment(
-        *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
-    options.environment_digest = apply_architecture(args, *exp, env);
-    gridsim::Executor executor(env);
+    const auto env = experiment_environment(args);
+    options.environment_digest = env.digest;
+    const gridsim::Executor executor(env.config);
     const auto bot = workload::make_bot(
-        exp->workload, 0xB07 + seed + static_cast<std::uint64_t>(number));
-    history = executor.run(bot, gridsim::make_experiment_strategy(*exp));
+        env.exp.workload,
+        0xB07 + env.seed + static_cast<std::uint64_t>(env.exp.number));
+    history = executor.run(bot, gridsim::make_experiment_strategy(env.exp));
     std::cerr << "synthesized history: " << executor.environment().name()
               << ", " << history.records().size() << " records\n";
   }
@@ -301,21 +353,11 @@ int cmd_recommend(const util::Args& args) {
 
 int cmd_simulate(const util::Args& args) {
   EXPERT_SPAN("cli.simulate");
-  const double tur = args.number_or("tur", 2066.0);
   const auto tasks = static_cast<std::size_t>(args.number_or("tasks", 0.0));
   EXPERT_REQUIRE(tasks > 0, "--tasks is required and must be positive");
-  const auto pool = static_cast<std::size_t>(args.number_or("pool", 50.0));
-  const double gamma = args.number_or("gamma", 0.85);
+  const auto estimator = synthetic_estimator(args, 10.0);
   const auto strategy = strategies::parse_strategy(
-      args.required("strategy"), tur, /*mr_max=*/1.0, tasks);
-
-  core::UserParams params;
-  params.tur = tur;
-  params.tr = tur;
-  auto cfg = core::EstimatorConfig::from_user_params(params, pool);
-  cfg.repetitions = static_cast<std::size_t>(args.number_or("reps", 10.0));
-  core::Estimator estimator(
-      cfg, core::make_synthetic_model(tur, 0.15 * tur, 3.0 * tur, gamma));
+      args.required("strategy"), estimator.config().tr, /*mr_max=*/1.0, tasks);
   const auto est = estimator.estimate(tasks, strategy);
 
   util::Table table({"metric", "mean", "stddev"});
@@ -341,56 +383,38 @@ int cmd_simulate(const util::Args& args) {
 /// the replication loop and aggregation — shows up in the table.
 int cmd_profile(const util::Args& args) {
   EXPERT_SPAN("cli.profile");
-  const double tur = args.number_or("tur", 2066.0);
   const auto tasks = static_cast<std::size_t>(args.number_or("tasks", 150.0));
   EXPERT_REQUIRE(tasks > 0, "--tasks must be positive");
-  const auto pool = static_cast<std::size_t>(args.number_or("pool", 50.0));
-  const double gamma = args.number_or("gamma", 0.85);
-
-  core::UserParams params;
-  params.tur = tur;
-  params.tr = tur;
-  auto cfg = core::EstimatorConfig::from_user_params(params, pool);
-  cfg.repetitions = static_cast<std::size_t>(args.number_or("reps", 5.0));
-  core::Estimator estimator(
-      cfg, core::make_synthetic_model(tur, 0.15 * tur, 3.0 * tur, gamma));
+  const auto estimator = synthetic_estimator(args, 5.0);
+  const core::EstimatorConfig& cfg = estimator.config();
 
   obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
   profiler.set_enabled(true);
   profiler.reset();
 
   core::SamplingSpec spec;
-  spec.max_deadline = params.throughput_deadline();
+  spec.max_deadline = cfg.throughput_deadline;
   core::FrontierOptions fopts;
   fopts.consumer = "profile";
   const auto result = core::generate_frontier(estimator, tasks, spec, fopts);
 
   std::cout << "profiled " << result.sampled.size()
             << " strategy evaluations (" << cfg.repetitions
-            << " repetitions each, " << tasks << " tasks, pool " << pool
-            << ")\n";
+            << " repetitions each, " << tasks << " tasks, pool "
+            << cfg.unreliable_size << ")\n";
   profiler.write_table(std::cout);
   return 0;
 }
 
 int cmd_sensitivity(const util::Args& args) {
   EXPERT_SPAN("cli.sensitivity");
-  const double tur = args.number_or("tur", 2066.0);
   const auto tasks = static_cast<std::size_t>(args.number_or("tasks", 0.0));
   EXPERT_REQUIRE(tasks > 0, "--tasks is required and must be positive");
-  const auto pool = static_cast<std::size_t>(args.number_or("pool", 50.0));
-  const double gamma = args.number_or("gamma", 0.85);
+  const auto estimator = synthetic_estimator(args, 10.0);
   const auto strategy = strategies::parse_strategy(
-      args.required("strategy"), tur, /*mr_max=*/1.0, tasks);
+      args.required("strategy"), estimator.config().tr, /*mr_max=*/1.0, tasks);
   EXPERT_REQUIRE(strategy.tail_mode == strategies::TailMode::NTDMrTail,
                  "sensitivity analysis needs an NTDMr strategy");
-
-  core::UserParams params;
-  params.tur = tur;
-  params.tr = tur;
-  const auto cfg = core::EstimatorConfig::from_user_params(params, pool);
-  core::Estimator estimator(
-      cfg, core::make_synthetic_model(tur, 0.15 * tur, 3.0 * tur, gamma));
   const auto report =
       core::analyze_sensitivity(estimator, tasks, strategy.ntdmr);
 
@@ -440,90 +464,88 @@ int cmd_report(const util::Args& args) {
   return 0;
 }
 
-/// Resolve --arch against an experiment's executor config. Classic (the
-/// default) leaves the Table V environment untouched, so existing
-/// invocations stay byte-identical; any other architecture swaps in the
-/// matching reference environment (same grid size and gamma calibration)
-/// and returns its content digest for the eval key.
-std::uint64_t apply_architecture(const util::Args& args,
-                                 const gridsim::TableVExperiment& exp,
-                                 gridsim::ExecutorConfig& env) {
-  const auto arch =
-      gridsim::env::parse_architecture(args.option_or("arch", "classic"));
-  if (arch == gridsim::env::Architecture::Classic) return 0;
-  const auto& wl = workload::workload_spec(exp.workload);
-  env.environment = gridsim::env::make_reference_environment(
-      arch, exp.unreliable_size, exp.gamma, wl.mean_cpu);
-  return env.environment->digest();
-}
+/// --backend, --workers and --kill-after-bots, shared by `serve` and
+/// campaign `execute`.
+struct BackendOptions {
+  /// This binary, set for --backend process: workers self-exec it as
+  /// `expert_cli worker ...`.
+  std::string worker_program;
+  int workers = 1;
+  /// Crash-harness hook: SIGKILL after the K-th finished BoT (0 = never).
+  std::size_t kill_after_bots = 0;
 
-const gridsim::TableVExperiment* find_experiment(int number) {
-  const gridsim::TableVExperiment* exp = nullptr;
-  for (const auto& e : gridsim::table_v_experiments()) {
-    if (e.number == number) exp = &e;
+  bool process() const { return !worker_program.empty(); }
+
+  /// A supervised pool of `workers` worker processes run with `worker_args`.
+  std::shared_ptr<procexec::ProcessPool> worker_pool(
+      std::vector<std::string> worker_args) const {
+    procexec::SupervisorOptions popts;
+    popts.workers = workers;
+    popts.worker_program = worker_program;
+    popts.worker_args = std::move(worker_args);
+    return std::make_shared<procexec::ProcessPool>(std::move(popts));
   }
-  return exp;
+};
+
+BackendOptions parse_backend_options(const util::Args& args) {
+  const std::string kind = args.option_or("backend", "gridsim");
+  EXPERT_REQUIRE(kind == "gridsim" || kind == "process",
+                 "--backend must be gridsim or process");
+  BackendOptions out;
+  if (kind == "process") {
+    char buf[4096];
+    const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
+    EXPERT_REQUIRE(n > 0,
+                   "cannot resolve /proc/self/exe for worker self-exec");
+    out.worker_program.assign(buf, static_cast<std::size_t>(n));
+  }
+  out.workers = static_cast<int>(args.number_or("workers", 1.0));
+  out.kill_after_bots =
+      static_cast<std::size_t>(args.number_or("kill-after-bots", 0.0));
+  return out;
 }
 
-std::string self_exe_path() {
-  char buf[4096];
-  const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  EXPERT_REQUIRE(n > 0, "cannot resolve /proc/self/exe for worker self-exec");
-  return std::string(buf, static_cast<std::size_t>(n));
+/// The in-process backend: every BoT runs on `executor`.
+core::Campaign::Backend run_on(const gridsim::Executor& executor) {
+  return [&executor](const workload::Bot& bot,
+                     const strategies::StrategyConfig& strategy,
+                     std::uint64_t stream) {
+    return executor.run(bot, strategy, stream);
+  };
+}
+
+/// A `serve` tenant's executor config, rebuilt from the worker argv the
+/// process backend's factory writes, via service::gridsim_executor_config
+/// — the function the in-process gridsim factory uses.
+gridsim::ExecutorConfig tenant_executor_config(const util::Args& args) {
+  service::GridsimBackendOptions gopts;
+  gopts.unreliable_machines =
+      static_cast<std::size_t>(args.number_or("machines", 40.0));
+  gopts.gamma = args.number_or("gamma", 0.82);
+  gopts.reliable_machines =
+      static_cast<std::size_t>(args.number_or("reliable", 10.0));
+  gopts.seed = static_cast<std::uint64_t>(
+      args.number_or("factory-seed", static_cast<double>(gopts.seed)));
+  service::TenantSpec spec;
+  spec.id = args.required("tenant");
+  spec.mean_cpu = args.number_or("mean-cpu", 1000.0);
+  spec.seed = static_cast<std::uint64_t>(args.number_or("tenant-seed", 0.0));
+  if (const auto plan = args.option("chaos")) {
+    gopts.chaos.push_back({spec.id, chaos::parse_chaos_plan(*plan)});
+  }
+  return service::gridsim_executor_config(gopts, spec);
 }
 
 /// Internal subcommand the supervisor self-execs for --backend process.
-/// Rebuilds the exact executor environment the in-process backend would
-/// use (same experiment, same derived seed, same chaos plan) and serves
-/// (bot, strategy, stream) requests over the wire protocol on fd 3 —
-/// which is what makes the process backend byte-identical to gridsim.
-/// With --synthetic, the worker instead rebuilds a `serve` tenant's
-/// synthetic environment via service::gridsim_executor_config — the same
-/// function the in-process gridsim backend factory uses, so the two
-/// backends stay byte-identical per tenant.
+/// Rebuilds the exact executor the in-process backend uses — a Table V
+/// experiment's, or with --synthetic a `serve` tenant's — and serves
+/// (bot, strategy, stream) requests over the wire protocol on fd 3, which
+/// is what makes the process backend byte-identical to gridsim.
 int cmd_worker(const util::Args& args) {
-  if (args.has_flag("synthetic")) {
-    service::GridsimBackendOptions gopts;
-    gopts.unreliable_machines =
-        static_cast<std::size_t>(args.number_or("machines", 40.0));
-    gopts.gamma = args.number_or("gamma", 0.82);
-    gopts.reliable_machines =
-        static_cast<std::size_t>(args.number_or("reliable", 10.0));
-    gopts.seed = static_cast<std::uint64_t>(
-        args.number_or("factory-seed", static_cast<double>(gopts.seed)));
-    service::TenantSpec spec;
-    spec.id = args.required("tenant");
-    spec.mean_cpu = args.number_or("mean-cpu", 1000.0);
-    spec.seed =
-        static_cast<std::uint64_t>(args.number_or("tenant-seed", 0.0));
-    if (const auto plan = args.option("chaos")) {
-      gopts.chaos.push_back({spec.id, chaos::parse_chaos_plan(*plan)});
-    }
-    gridsim::Executor executor(service::gridsim_executor_config(gopts, spec));
-    return procexec::worker_main(
-        [&executor](const workload::Bot& bot,
-                    const strategies::StrategyConfig& strategy,
-                    std::uint64_t stream) {
-          return executor.run(bot, strategy, stream);
-        });
-  }
-  const int number = static_cast<int>(args.number_or("experiment", 11.0));
-  const gridsim::TableVExperiment* exp = find_experiment(number);
-  EXPERT_REQUIRE(exp != nullptr,
-                 "--experiment must name a Table V row (1..13)");
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
-  auto env = gridsim::make_experiment_environment(
-      *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
-  if (const auto plan = args.option("chaos"))
-    env.chaos = chaos::parse_chaos_plan(*plan);
-  apply_architecture(args, *exp, env);
-  gridsim::Executor executor(env);
-  return procexec::worker_main(
-      [&executor](const workload::Bot& bot,
-                  const strategies::StrategyConfig& strategy,
-                  std::uint64_t stream) {
-        return executor.run(bot, strategy, stream);
-      });
+  const gridsim::Executor executor(args.has_flag("synthetic")
+                                       ? tenant_executor_config(args)
+                                       : experiment_environment(args).config);
+  return procexec::worker_main(run_on(executor));
 }
 
 /// Parse the field list of one `submit` feed line (after the id) into a
@@ -633,23 +655,16 @@ int cmd_serve(const util::Args& args) {
     gopts.chaos = chaos::parse_targeted_plans(raw_chaos);
   }
 
-  const std::string backend_kind = args.option_or("backend", "gridsim");
-  EXPERT_REQUIRE(backend_kind == "gridsim" || backend_kind == "process",
-                 "--backend must be gridsim or process");
-  if (backend_kind == "gridsim") {
+  const BackendOptions backend = parse_backend_options(args);
+  if (!backend.process()) {
     sopts.backend_factory = service::make_gridsim_backend_factory(gopts);
   } else {
     // Each tenant gets its own supervised worker pool; the factory closure
     // owns the pool via shared_ptr so the backend is self-contained.
-    const int workers = static_cast<int>(args.number_or("workers", 1.0));
-    const std::string self = self_exe_path();
     sopts.backend_factory =
-        [gopts, workers, raw_chaos, self](const service::TenantSpec& spec)
+        [gopts, backend, raw_chaos](const service::TenantSpec& spec)
         -> core::Campaign::Backend {
-      procexec::SupervisorOptions popts;
-      popts.workers = workers;
-      popts.worker_program = self;
-      popts.worker_args = {
+      std::vector<std::string> worker_args = {
           "worker", "--synthetic", "--tenant", spec.id,
           "--machines", std::to_string(gopts.unreliable_machines),
           "--gamma", resilience::serial::fmt_double(gopts.gamma),
@@ -658,10 +673,10 @@ int cmd_serve(const util::Args& args) {
           "--mean-cpu", resilience::serial::fmt_double(spec.mean_cpu),
           "--tenant-seed", std::to_string(spec.seed)};
       if (const auto body = chaos_body_for(raw_chaos, spec.id)) {
-        popts.worker_args.push_back("--chaos");
-        popts.worker_args.push_back(*body);
+        worker_args.push_back("--chaos");
+        worker_args.push_back(*body);
       }
-      auto pool = std::make_shared<procexec::ProcessPool>(std::move(popts));
+      auto pool = backend.worker_pool(std::move(worker_args));
       return [pool](const workload::Bot& bot,
                     const strategies::StrategyConfig& strategy,
                     std::uint64_t stream) {
@@ -670,11 +685,10 @@ int cmd_serve(const util::Args& args) {
     };
   }
 
-  // Crash harness hook: SIGKILL after the K-th finished BoT, service-wide.
-  // Per-BoT progress goes to stderr so stdout stays comparable across
-  // interrupted-and-resumed and uninterrupted runs.
-  const auto kill_after =
-      static_cast<std::size_t>(args.number_or("kill-after-bots", 0.0));
+  // Crash harness hook, counted service-wide. Per-BoT progress goes to
+  // stderr so stdout stays comparable across interrupted-and-resumed and
+  // uninterrupted runs.
+  const std::size_t kill_after = backend.kill_after_bots;
   auto finished = std::make_shared<std::size_t>(0);
   sopts.on_bot_finished =
       [kill_after, finished](const std::string& id,
@@ -747,11 +761,11 @@ int cmd_serve(const util::Args& args) {
 /// Campaign mode of `execute`: K BoTs through the full
 /// characterize -> recommend -> execute loop, with per-BoT outcome and
 /// degradation reporting — the chaos-facing face of the pipeline.
-int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
-                 const gridsim::ExecutorConfig& env, std::size_t bots,
-                 std::uint64_t seed, std::uint64_t env_digest) {
+int run_campaign(const util::Args& args, const ExperimentEnvironment& env,
+                 std::size_t bots) {
+  const gridsim::TableVExperiment& exp = env.exp;
   const auto& wl = workload::workload_spec(exp.workload);
-  gridsim::Executor executor(env);
+  const gridsim::Executor executor(env.config);
 
   core::Campaign::Options copts;
   copts.params.tur = wl.mean_cpu;
@@ -760,36 +774,26 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
   copts.expert = expert_options(args);
   copts.expert.repetitions =
       static_cast<std::size_t>(args.number_or("reps", 5.0));
-  copts.expert.environment_digest = env_digest;
+  copts.expert.environment_digest = env.digest;
   const auto utility = core::parse_utility(args.option_or("utility", "product"));
 
-  const std::string backend_kind = args.option_or("backend", "gridsim");
-  EXPERT_REQUIRE(backend_kind == "gridsim" || backend_kind == "process",
-                 "--backend must be gridsim or process");
-  std::unique_ptr<procexec::ProcessPool> pool;
+  const BackendOptions backend_options = parse_backend_options(args);
+  std::shared_ptr<procexec::ProcessPool> pool;
   core::Campaign::Backend backend;
-  if (backend_kind == "process") {
-    procexec::SupervisorOptions popts;
-    popts.workers = static_cast<int>(args.number_or("workers", 1.0));
-    popts.worker_program = self_exe_path();
-    popts.worker_args = {"worker", "--experiment", std::to_string(exp.number),
-                         "--seed", std::to_string(seed)};
-    if (const auto plan = args.option("chaos")) {
-      popts.worker_args.push_back("--chaos");
-      popts.worker_args.push_back(*plan);
+  if (backend_options.process()) {
+    std::vector<std::string> worker_args = {
+        "worker", "--experiment", std::to_string(exp.number), "--seed",
+        std::to_string(env.seed)};
+    for (const std::string name : {"chaos", "arch"}) {
+      if (const auto value = args.option(name)) {
+        worker_args.push_back("--" + name);
+        worker_args.push_back(*value);
+      }
     }
-    if (const auto arch = args.option("arch")) {
-      popts.worker_args.push_back("--arch");
-      popts.worker_args.push_back(*arch);
-    }
-    pool = std::make_unique<procexec::ProcessPool>(std::move(popts));
+    pool = backend_options.worker_pool(std::move(worker_args));
     backend = pool->backend();
   } else {
-    backend = [&executor](const workload::Bot& bot,
-                          const strategies::StrategyConfig& strategy,
-                          std::uint64_t stream) {
-      return executor.run(bot, strategy, stream);
-    };
+    backend = run_on(executor);
   }
   const double backend_timeout = args.number_or("backend-timeout", 0.0);
   if (backend_timeout > 0.0) {
@@ -845,13 +849,11 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
     campaign.emplace(backend, copts);
   }
 
-  // Test hook for the crash/resume harness: die the hard way (SIGKILL,
-  // nothing flushed beyond what the journal already fsynced) right after
-  // the K-th BoT completes. Chaos kill_at cannot serve this role for the
-  // process backend — there it kills the *worker*, which the supervisor
-  // absorbs as a retried attempt.
-  const auto kill_after =
-      static_cast<std::size_t>(args.number_or("kill-after-bots", 0.0));
+  // Crash harness hook: die the hard way (SIGKILL, nothing flushed beyond
+  // what the journal already fsynced) right after the K-th BoT completes.
+  // Chaos kill_at cannot serve this role for the process backend — there
+  // it kills the *worker*, which the supervisor absorbs as a retry.
+  const std::size_t kill_after = backend_options.kill_after_bots;
 
   util::Table table({"bot", "strategy", "outcome", "makespan [s]",
                      "cost [c/task]", "degradation"});
@@ -860,7 +862,7 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
     if (i < resumed) {
       report = &campaign->reports()[i];
     } else {
-      const auto bot = workload::make_bot(exp.workload, 0xB07 + seed + i);
+      const auto bot = workload::make_bot(exp.workload, 0xB07 + env.seed + i);
       campaign->run_bot(bot, utility);
       report = &campaign->reports().back();
       if (kill_after > 0 && i + 1 == kill_after) std::raise(SIGKILL);
@@ -878,8 +880,8 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
          report->degradation ? core::to_string(*report->degradation) : "-"});
   }
   table.print(std::cout);
-  if (env.chaos && env.chaos->any())
-    std::cout << "chaos plan: " << env.chaos->to_string() << "\n";
+  if (env.config.chaos && env.config.chaos->any())
+    std::cout << "chaos plan: " << env.config.chaos->to_string() << "\n";
   if (detector != nullptr && detector->trips() > 0)
     std::cout << "drift: " << detector->trips()
               << " trip(s); history re-characterized from post-drift "
@@ -905,42 +907,28 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
 
 int cmd_execute(const util::Args& args) {
   EXPERT_SPAN("cli.execute");
-  const int number = static_cast<int>(args.number_or("experiment", 11.0));
-  const gridsim::TableVExperiment* exp = find_experiment(number);
-  EXPERT_REQUIRE(exp != nullptr,
-                 "--experiment must name a Table V row (1..13)");
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
+  const auto env = experiment_environment(args);
+  const auto bots = static_cast<std::size_t>(args.number_or("bots", 1.0));
+  if (bots > 1) return run_campaign(args, env, bots);
+  EXPERT_REQUIRE(!parse_backend_options(args).process(),
+                 "--backend process needs a campaign (--bots > 1)");
+  core::CharacterizationOptions copts;
+  copts.mode = parse_mode(args);
 
   // Real side: machine-level execution of the experiment's strategy.
-  const auto& wl = workload::workload_spec(exp->workload);
-  const auto bot = workload::make_bot(
-      exp->workload, 0xB07 + seed + static_cast<std::uint64_t>(number));
-  auto env = gridsim::make_experiment_environment(
-      *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
-  if (const auto plan = args.option("chaos"))
-    env.chaos = chaos::parse_chaos_plan(*plan);
-  const std::uint64_t env_digest = apply_architecture(args, *exp, env);
-
-  const auto bots = static_cast<std::size_t>(args.number_or("bots", 1.0));
-  if (bots > 1) return run_campaign(args, *exp, env, bots, seed, env_digest);
-  EXPERT_REQUIRE(args.option_or("backend", "gridsim") == "gridsim",
-                 "--backend process needs a campaign (--bots > 1)");
-
-  gridsim::Executor executor(env);
-  const auto strategy = gridsim::make_experiment_strategy(*exp);
+  const gridsim::TableVExperiment& exp = env.exp;
+  const auto number = static_cast<std::uint64_t>(exp.number);
+  const auto& wl = workload::workload_spec(exp.workload);
+  const auto bot = workload::make_bot(exp.workload, 0xB07 + env.seed + number);
+  const gridsim::Executor executor(env.config);
+  const auto strategy = gridsim::make_experiment_strategy(exp);
   const auto real = executor.run(bot, strategy);
   if (real.truncated())
     std::cout << "note: run truncated at the simulation horizon ("
-              << util::fmt(env.max_sim_time, 0) << " s)\n";
+              << util::fmt(env.config.max_sim_time, 0) << " s)\n";
 
   // Simulated side: characterize the real trace, then predict with the
   // Estimator (same recipe as the Table V validation benchmark).
-  core::CharacterizationOptions copts;
-  const std::string mode = args.option_or("mode", "online");
-  EXPERT_REQUIRE(mode == "online" || mode == "offline",
-                 "--mode must be online or offline");
-  copts.mode = mode == "offline" ? core::ReliabilityMode::Offline
-                                 : core::ReliabilityMode::Online;
   copts.instance_deadline = wl.deadline_d;
   copts.windows_per_epoch = 6;
   const auto checked = core::characterize_checked(real, copts);
@@ -965,20 +953,22 @@ int cmd_execute(const util::Args& args) {
   cfg.tr = tr;
   cfg.cur_cents_per_s = 1.0 / 3600.0;
   cfg.cr_cents_per_s = 34.0 / 3600.0;
-  cfg.charging_period_r_s = exp->ec2_reliable() ? 3600.0 : 1.0;
+  cfg.charging_period_r_s = exp.ec2_reliable() ? 3600.0 : 1.0;
   cfg.throughput_deadline = wl.deadline_d;
   cfg.repetitions = static_cast<std::size_t>(args.number_or("reps", 10.0));
-  cfg.seed = 0x7AB1E5 + seed + static_cast<std::uint64_t>(number);
+  cfg.seed = 0x7AB1E5 + env.seed + number;
   cfg.tail_tasks_override =
       std::max<std::size_t>(1, real.remaining_at(real.t_tail()));
-  cfg.environment_digest = env_digest;
+  cfg.environment_digest = env.digest;
 
   core::Estimator estimator(cfg, model);
   const auto est = estimator.estimate(real.task_count(), strategy);
 
   std::cout << "experiment " << number << ": " << wl.name << ", N="
-            << (exp->n ? std::to_string(*exp->n) : "inf") << ", pool "
-            << exp->unreliable_size << " unreliable machines\n";
+            << (exp.n ? std::to_string(*exp.n) : "inf") << ", pool "
+            << exp.unreliable_size << " unreliable machines\n";
+  const std::string mode =
+      copts.mode == core::ReliabilityMode::Online ? "online" : "offline";
   util::Table table({"metric", "real (gridsim)", "predicted (" + mode + ")"});
   table.add_row({"average reliability",
                  util::fmt(real.average_reliability(), 3), "-"});

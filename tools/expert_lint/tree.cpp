@@ -439,10 +439,7 @@ std::vector<Finding> lint_tree(const std::vector<std::string>& paths,
   } else {
     util::ThreadPool pool(static_cast<std::size_t>(
         options.threads < 0 ? 0 : options.threads));
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      pool.submit([&, i] { analyze_one(i); });
-    }
-    pool.wait_idle();
+    pool.parallel_for(files.size(), analyze_one);
   }
 
   // Sequential merge + pass 2.
