@@ -6,6 +6,7 @@
 
 #include "expert/chaos/chaos.hpp"
 #include "expert/gridsim/env/environment.hpp"
+#include "expert/util/rng.hpp"
 
 namespace expert::gridsim::env {
 
@@ -22,8 +23,46 @@ struct PricePoint {
   double rate_cents_per_s = 0.0;
 };
 
+/// A spot pool's price process as a resumable stream over [0, horizon_s):
+/// it draws price points only as far as a caller has asked, from one
+/// sequential RNG, so every prefix equals the whole path's. The
+/// out-of-bid windows and the billing rate come from the same path, so a
+/// pool draws its prices once.
+class SpotMarketStream {
+ public:
+  SpotMarketStream(const SpotMarketDynamics& spec, double horizon_s,
+                   std::uint64_t stream);
+
+  /// Out-of-bid window `i`: a maximal run of steps whose rate exceeds
+  /// `spec.bid_cents_per_s`, merged as chaos::merge_windows would, ends
+  /// clipped to the horizon, tagged chaos::WindowCause::OutOfBid. Draws
+  /// the path one point past the window (to close it); nullptr when the
+  /// path ends first.
+  const chaos::ForcedWindow* window(std::size_t i);
+  /// Market rate at `time` (the rate of the last point at or before it),
+  /// drawing the path through `time`.
+  double rate_at(double time);
+  /// Draw the next price point; false once the path reached the horizon.
+  bool draw_point();
+  /// The points drawn so far.
+  const std::vector<PricePoint>& path() const noexcept { return path_; }
+
+ private:
+  const PricePoint* point(std::size_t k);
+
+  SpotMarketDynamics spec_;
+  double horizon_s_ = 0.0;
+  util::Rng rng_;
+  double x_ = 0.0;  ///< excursion of the next point
+  bool done_ = false;
+  std::vector<PricePoint> path_;
+  std::vector<chaos::ForcedWindow> windows_;
+  std::size_t scan_ = 0;  ///< next path point the window scan examines
+};
+
 /// The market price process over [0, horizon_s), one point per
-/// `spec.step_s`. First point is always {0, initial_rate}.
+/// `spec.step_s`: SpotMarketStream drained to the horizon. First point is
+/// always {0, initial_rate}.
 std::vector<PricePoint> spot_price_path(const SpotMarketDynamics& spec,
                                         double horizon_s,
                                         std::uint64_t stream);
@@ -32,11 +71,11 @@ std::vector<PricePoint> spot_price_path(const SpotMarketDynamics& spec,
 /// before `time`).
 double spot_rate_at(const std::vector<PricePoint>& path, double time);
 
-/// The out-of-bid windows of the price path: maximal runs of steps whose
-/// rate exceeds `spec.bid_cents_per_s`, merged, tagged
-/// chaos::WindowCause::OutOfBid. For a fixed (seed, stream) the union of
-/// these windows grows pointwise with `spec.volatility` whenever
-/// bid > initial_rate (the underlying excursion path is volatility-free).
+/// Every out-of-bid window of the price path over [0, horizon_s):
+/// SpotMarketStream's windows drained to the horizon. For a fixed
+/// (seed, stream) the union of these windows grows pointwise with
+/// `spec.volatility` whenever bid > initial_rate (the underlying excursion
+/// path is volatility-free).
 std::vector<chaos::ForcedWindow> spot_out_of_bid_windows(
     const SpotMarketDynamics& spec, double horizon_s, std::uint64_t stream);
 
@@ -50,10 +89,30 @@ std::vector<std::vector<chaos::ForcedWindow>> region_blackout_windows(
     const MultiRegionDynamics& spec, std::size_t regions,
     std::uint64_t stream);
 
-/// One host's duty-cycle off windows over [0, horizon_s): alternating
+/// One volunteer host's duty cycle as a resumable stream: alternating
 /// exponential on (duty_on_mean_s) / off (duty_off_mean_s) periods,
 /// starting in the on phase, per-host stream forked by `host_ordinal`.
-/// Windows are tagged DutyCycle.
+/// Off windows start before `horizon_s` (their ends are not clipped), are
+/// tagged DutyCycle, and are drawn only as far as a caller has asked.
+class DutyCycleStream {
+ public:
+  DutyCycleStream(const VolunteerDynamics& spec, double horizon_s,
+                  std::uint64_t host_ordinal, std::uint64_t stream);
+
+  /// Off window `i`; nullptr once the cycle passed the horizon.
+  const chaos::ForcedWindow* window(std::size_t i);
+
+ private:
+  double horizon_s_ = 0.0;
+  double on_rate_ = 0.0;
+  double off_rate_ = 0.0;
+  util::Rng rng_;
+  double next_start_ = 0.0;  ///< start of the next off window
+  std::vector<chaos::ForcedWindow> windows_;
+};
+
+/// One host's duty-cycle off windows over [0, horizon_s): DutyCycleStream
+/// drained to the horizon.
 std::vector<chaos::ForcedWindow> volunteer_off_windows(
     const VolunteerDynamics& spec, double horizon_s,
     std::uint64_t host_ordinal, std::uint64_t stream);

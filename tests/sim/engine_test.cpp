@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "expert/util/assert.hpp"
@@ -155,6 +156,107 @@ TEST(Engine, CancelledEventsAreSkippedNotCounted) {
   h.cancel();
   engine.run();
   EXPECT_EQ(engine.processed_events(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// schedule_ahead_at: events that fire before every ordinary event of their
+// time, in key order.
+
+TEST(EngineAhead, FiresBeforeAnEarlierScheduledOrdinaryEvent) {
+  Engine engine;
+  std::vector<std::string> order;
+  engine.schedule_at(4.0, [&] { order.push_back("ordinary@4"); });
+  engine.schedule_at(5.0, [&] { order.push_back("ordinary@5"); });
+  engine.schedule_ahead_at(5.0, 7, [&] { order.push_back("ahead@5"); });
+  engine.schedule_ahead_at(6.0, 0, [&] { order.push_back("ahead@6"); });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"ordinary@4", "ahead@5",
+                                             "ordinary@5", "ahead@6"}));
+}
+
+TEST(EngineAhead, FireInKeyOrderWhateverTheSchedulingOrder) {
+  Engine engine;
+  std::vector<std::uint64_t> order;
+  for (const std::uint64_t key : {5ULL, 0ULL, 3ULL, 9ULL, 1ULL}) {
+    engine.schedule_ahead_at(2.0, key, [&order, key] { order.push_back(key); });
+  }
+  // One more, scheduled by an earlier event: it still takes its key's
+  // place among the pending ones.
+  engine.schedule_at(1.0, [&] {
+    engine.schedule_ahead_at(2.0, 4, [&order] { order.push_back(4); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 3, 4, 5, 9}));
+}
+
+TEST(EngineAhead, ScheduledAtTheCurrentTimeFiresBeforePendingOrdinaryEvents) {
+  // An ahead event arming another at its own time (a zero-length forced
+  // window) runs the second before the ordinary events of that time.
+  Engine engine;
+  std::vector<std::string> order;
+  engine.schedule_at(3.0, [&] { order.push_back("ordinary"); });
+  engine.schedule_ahead_at(3.0, 2, [&] {
+    order.push_back("down");
+    engine.schedule_ahead_at(3.0, 2, [&] { order.push_back("up"); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"down", "up", "ordinary"}));
+}
+
+TEST(EngineAhead, OrdinaryEventsKeepInsertionOrder) {
+  Engine engine;
+  std::vector<std::string> order;
+  engine.schedule_at(1.0, [&] { order.push_back("a"); });
+  engine.schedule_ahead_at(1.0, 3, [&] { order.push_back("k3"); });
+  engine.schedule_at(1.0, [&] { order.push_back("b"); });
+  engine.schedule_ahead_at(1.0, 1, [&] { order.push_back("k1"); });
+  engine.schedule_at(1.0, [&] { order.push_back("c"); });
+  engine.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"k1", "k3", "a", "b", "c"}));
+}
+
+TEST(EngineAhead, CancelPreventsExecution) {
+  Engine engine;
+  std::vector<std::uint64_t> fired;
+  auto handle =
+      engine.schedule_ahead_at(1.0, 0, [&] { fired.push_back(0); });
+  engine.schedule_ahead_at(1.0, 1, [&] { fired.push_back(1); });
+  EXPECT_TRUE(handle.pending());
+  handle.cancel();
+  EXPECT_FALSE(handle.pending());
+  engine.run();
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(engine.processed_events(), 1u);
+  handle.cancel();  // after the run: still a no-op
+}
+
+TEST(EngineAhead, RunUntilHonoursTheHorizon) {
+  Engine engine;
+  std::vector<double> fired;
+  for (const double t : {1.0, 2.0, 3.0}) {
+    engine.schedule_ahead_at(t, 0, [&fired, &engine] {
+      fired.push_back(engine.now());
+    });
+  }
+  engine.run_until(2.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  engine.run_until(2.5);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0}));
+  EXPECT_DOUBLE_EQ(engine.now(), 2.5);
+  engine.run_until(10.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+TEST(EngineAhead, RejectsOutOfRangeKeysAndPastTimes) {
+  Engine engine;
+  EXPECT_THROW(engine.schedule_ahead_at(1.0, Engine::kAheadKeys, [] {}),
+               util::ContractViolation);
+  engine.schedule_at(10.0, [] {});
+  engine.run();
+  EXPECT_THROW(engine.schedule_ahead_at(5.0, 0, [] {}),
+               util::ContractViolation);
 }
 
 }  // namespace
