@@ -8,7 +8,10 @@ For every benchmark in the baseline the candidate must (a) still exist and
 a thread pool, where cpu_ns only counts the calling thread). Ratios
 between --warn-ratio and --fail-ratio are reported but do not fail;
 speedups and brand-new benchmarks are noted. Exit status: 0 clean,
-1 regression or missing benchmark, 2 usage/schema error.
+1 regression or missing benchmark, 2 usage/schema error — including two
+reports whose project build types (`provenance.build_type`, recorded by
+bench_report.py) differ, since a Debug and a Release run of the same code
+differ by more than any regression the gate looks for.
 
 Thresholds are noise-aware, not exact: the baseline is a median-of-N from
 one machine, so CI runs on different hardware should pass a generous
@@ -23,16 +26,25 @@ import sys
 SCHEMA = "expert.bench.v1"
 
 
+def usage_error(message):
+    print("error: %s" % message, file=sys.stderr)
+    sys.exit(2)
+
+
 def load_report(path):
     try:
         with open(path) as f:
             report = json.load(f)
     except (OSError, ValueError) as e:
-        raise SystemExit("cannot read %s: %s" % (path, e))
+        usage_error("cannot read %s: %s" % (path, e))
     if report.get("schema") != SCHEMA:
-        raise SystemExit("%s: expected schema %s, got %r"
-                         % (path, SCHEMA, report.get("schema")))
-    return {b["name"]: b for b in report["benchmarks"]}
+        usage_error("%s: expected schema %s, got %r"
+                    % (path, SCHEMA, report.get("schema")))
+    return report
+
+
+def build_type(report):
+    return (report.get("provenance") or {}).get("build_type")
 
 
 def main():
@@ -49,10 +61,16 @@ def main():
                         help="ratio that fails the gate (default 1.6)")
     args = parser.parse_args()
     if not args.warn_ratio <= args.fail_ratio:
-        raise SystemExit("--warn-ratio must not exceed --fail-ratio")
+        usage_error("--warn-ratio must not exceed --fail-ratio")
 
-    baseline = load_report(args.baseline)
-    candidate = load_report(args.candidate)
+    baseline_report = load_report(args.baseline)
+    candidate_report = load_report(args.candidate)
+    if build_type(baseline_report) != build_type(candidate_report):
+        usage_error("project build types differ: baseline %r, candidate %r"
+                    % (build_type(baseline_report),
+                       build_type(candidate_report)))
+    baseline = {b["name"]: b for b in baseline_report["benchmarks"]}
+    candidate = {b["name"]: b for b in candidate_report["benchmarks"]}
 
     regressions, warnings, notes = [], [], []
     rows = []

@@ -8,6 +8,8 @@ committed baseline as input:
 2. A copy with one benchmark's times doubled must fail (exit nonzero) and
    flag exactly that benchmark — no more, no fewer.
 3. A copy with one benchmark deleted must fail and report it as missing.
+4. A copy whose project build type differs must be refused as a usage
+   error (exit 2), whatever its times say.
 
 Usage: bench_compare_selftest.py <bench_compare.py> <BENCH_expert.json>
 """
@@ -64,6 +66,15 @@ def main():
     rc, out = run_compare(compare, baseline_path, dropped)
     assert rc != 0, "missing benchmark passed the gate:\n%s" % out
     assert "missing from candidate" in out, out
+
+    # 4. Same times, different project build type: not comparable.
+    other_type = copy.deepcopy(baseline)
+    recorded = (baseline.get("provenance") or {}).get("build_type")
+    other_type.setdefault("provenance", {})["build_type"] = (
+        "Debug" if recorded != "Debug" else "Release")
+    rc, out = run_compare(compare, baseline_path, other_type)
+    assert rc == 2, "mismatched build type exited %d:\n%s" % (rc, out)
+    assert "build types differ" in out, out
 
     print("bench_compare self-test passed (victim: %s)" % victim)
 

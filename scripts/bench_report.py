@@ -9,6 +9,13 @@ of repetitions, and entries are sorted by name so the JSON diffs cleanly.
 Complexity-fit pseudo-entries (_BigO / _RMS) are dropped — they are
 derived values, not measurements.
 
+The report's `provenance` block says what was measured: the project's
+CMAKE_BUILD_TYPE and compiler, read from the CMakeCache.txt of the build
+tree that holds the binary, the source tree's git commit, and the number
+of CPUs this process may run on. (google-benchmark's own
+`library_build_type` in `context` describes the benchmark library, not
+the project.)
+
 Usage:
   bench_report.py --binary build/bench/runtime_expert \
       --out bench/BENCH_expert.json [--repetitions 3] [--min-time 0.1] \
@@ -16,7 +23,10 @@ Usage:
 """
 
 import argparse
+import glob
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,6 +89,78 @@ def reduce_benchmarks(raw, repetitions):
     return [records[name] for name in sorted(records)]
 
 
+def find_cmake_cache(binary):
+    """The CMakeCache.txt of the build tree holding `binary`, or None."""
+    directory = os.path.dirname(os.path.abspath(binary))
+    while True:
+        cache = os.path.join(directory, "CMakeCache.txt")
+        if os.path.isfile(cache):
+            return cache
+        parent = os.path.dirname(directory)
+        if parent == directory:
+            return None
+        directory = parent
+
+
+def read_cmake_cache(path):
+    """Map of the cache's NAME:TYPE=VALUE entries, keyed by NAME."""
+    entries = {}
+    with open(path) as f:
+        for line in f:
+            match = re.match(r"^([\w.-]+):[A-Z]+=(.*)$", line.rstrip("\n"))
+            if match:
+                entries[match.group(1)] = match.group(2)
+    return entries
+
+
+def compiler_of(build_dir, cache):
+    """'<id> <version> (<path>)' from CMake's record of the C++ compiler."""
+    record = {}
+    pattern = os.path.join(build_dir, "CMakeFiles", "*",
+                           "CMakeCXXCompiler.cmake")
+    for path in sorted(glob.glob(pattern))[:1]:
+        with open(path) as f:
+            for line in f:
+                match = re.match(
+                    r'^set\(CMAKE_CXX_COMPILER_(ID|VERSION) "(.*)"\)$',
+                    line.strip())
+                if match:
+                    record[match.group(1)] = match.group(2)
+    described = " ".join(
+        v for v in (record.get("ID"), record.get("VERSION")) if v)
+    compiler = cache.get("CMAKE_CXX_COMPILER", "")
+    if described and compiler:
+        return "%s (%s)" % (described, compiler)
+    return described or compiler or None
+
+
+def git_commit(source_dir):
+    """HEAD of the source tree, or None outside a git checkout."""
+    try:
+        out = subprocess.run(["git", "-C", source_dir, "rev-parse", "HEAD"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def provenance(binary):
+    """What was measured: project build type, compiler, commit, CPUs."""
+    cache_path = find_cmake_cache(binary)
+    if cache_path is None:
+        raise SystemExit("%s: no CMakeCache.txt above the binary; cannot "
+                         "record the project build type" % binary)
+    cache = read_cmake_cache(cache_path)
+    source_dir = cache.get("CMAKE_HOME_DIRECTORY",
+                           os.path.dirname(cache_path))
+    return {
+        "build_type": cache.get("CMAKE_BUILD_TYPE") or None,
+        "compiler": compiler_of(os.path.dirname(cache_path), cache),
+        "commit": git_commit(source_dir),
+        "num_cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", required=True,
@@ -93,6 +175,7 @@ def main():
                         help="--benchmark_filter regex (default: all)")
     args = parser.parse_args()
 
+    build = provenance(args.binary)
     raw = run_binary(args.binary, args.repetitions, args.min_time,
                      args.filter)
     benchmarks = reduce_benchmarks(raw, args.repetitions)
@@ -108,6 +191,7 @@ def main():
             "filter": args.filter,
             "aggregate": "median",
         },
+        "provenance": build,
         "context": {
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
