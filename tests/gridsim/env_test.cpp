@@ -19,6 +19,7 @@
 #include "expert/gridsim/presets.hpp"
 #include "expert/gridsim/scenarios.hpp"
 #include "expert/obs/metrics.hpp"
+#include "expert/strategies/static_strategies.hpp"
 #include "expert/trace/csv_io.hpp"
 #include "expert/util/assert.hpp"
 #include "expert/util/hash.hpp"
@@ -105,11 +106,22 @@ constexpr const char* kFullChaosPlan =
     "shrink=0.25 shrink_start=9000 shrink_duration=6000 flash=0.2 "
     "flash_start=3000 flash_duration=12000 dispatch_fail=0.1 loss=0.05";
 
+/// ArchGolden's strategy: NTDMr with N=1, T=T_ur, D=4 T_ur, Mr=0.4.
+strategies::StrategyConfig arch_ntdmr() {
+  strategies::NTDMr p;
+  p.n = 1;
+  p.timeout_t = 2066.0;
+  p.deadline_d = 4.0 * 2066.0;
+  p.mr = 0.4;
+  return strategies::make_ntdmr_strategy(p);
+}
+
 /// Trace digest of a 200-task BoT on `environment` under chaos `plan`
-/// (none when null) with horizon `max_sim_time`.
-std::uint64_t arch_trace_digest(const Environment& environment,
-                                const char* plan, std::uint64_t stream,
-                                double max_sim_time = 5.0e7) {
+/// (none when null) with horizon `max_sim_time`, run with `strategy`.
+std::uint64_t arch_trace_digest(
+    const Environment& environment, const char* plan, std::uint64_t stream,
+    double max_sim_time = 5.0e7,
+    const strategies::StrategyConfig& strategy = arch_ntdmr()) {
   ExecutorConfig cfg;
   cfg.environment = environment;
   cfg.throughput_deadline = 4.0 * 2066.0;
@@ -121,13 +133,7 @@ std::uint64_t arch_trace_digest(const Environment& environment,
   // is drawn once for every case.
   static const workload::Bot bot = workload::make_synthetic_bot(
       "arch", 200, 2066.0, 300.0, 6000.0, 0xB07ULL);
-  strategies::NTDMr p;
-  p.n = 1;
-  p.timeout_t = 2066.0;
-  p.deadline_d = 4.0 * 2066.0;
-  p.mr = 0.4;
-  const auto trace =
-      executor.run(bot, strategies::make_ntdmr_strategy(p), stream);
+  const auto trace = executor.run(bot, strategy, stream);
   std::ostringstream csv;
   trace::write_csv(trace, csv);
   return util::HashState(0xA4C11ULL).mix(csv.str()).digest();
@@ -230,6 +236,103 @@ TEST(ArchGolden, StreamsMergedWithChaosAndCutAtTheHorizon) {
         << c.environment->name() << ", " << c.plan << ", horizon "
         << c.max_sim_time;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch differential, pinned before dispatch indexed its idle machines.
+// Each cell combines the trace digests of streams 1..20. Besides NTDMr, an
+// environment with a cloud runs CN-inf (the grid overflows to the cloud)
+// and AR (cloud only), which drive the reliable pool's cursor and its
+// busy count through every cap.
+
+enum class DiffStrategy { NTDMr, CNInf, AR };
+
+strategies::StrategyConfig diff_strategy(DiffStrategy s) {
+  switch (s) {
+    case DiffStrategy::CNInf:
+      return strategies::make_static_strategy(
+          strategies::StaticStrategyKind::CNInf, 2066.0, 0.4);
+    case DiffStrategy::AR:
+      return strategies::make_static_strategy(
+          strategies::StaticStrategyKind::AR, 2066.0, 0.4);
+    case DiffStrategy::NTDMr:
+      break;
+  }
+  return arch_ntdmr();
+}
+
+/// Cells in order: {50, 200 grid hosts} x {no chaos, kFullChaosPlan} x
+/// {NTDMr, CN-inf, AR}.
+void expect_dispatch_digests(Architecture arch,
+                             const std::array<std::uint64_t, 12>& golden) {
+  std::size_t cell = 0;
+  for (const std::size_t hosts : {std::size_t{50}, std::size_t{200}}) {
+    const Environment environment =
+        make_reference_environment(arch, hosts, 0.827, 2066.0);
+    for (const char* plan : {static_cast<const char*>(nullptr),
+                             kFullChaosPlan}) {
+      for (const auto s :
+           {DiffStrategy::NTDMr, DiffStrategy::CNInf, DiffStrategy::AR}) {
+        const std::size_t at = cell++;
+        if (s != DiffStrategy::NTDMr && !environment.has_cloud()) continue;
+        const auto strategy = diff_strategy(s);
+        util::HashState h(0xD15Cu);
+        for (std::uint64_t stream = 1; stream <= 20; ++stream) {
+          h.mix(arch_trace_digest(environment, plan, stream, 5.0e7,
+                                  strategy));
+        }
+        EXPECT_EQ(h.digest(), golden[at])
+            << to_string(arch) << ", " << hosts << " hosts, "
+            << (plan != nullptr ? "full chaos" : "no chaos") << ", "
+            << strategy.name << " (cell " << at << ")";
+      }
+    }
+  }
+}
+
+TEST(DispatchDifferential, Classic) {
+  expect_dispatch_digests(
+      Architecture::Classic,
+      {0x1f663017fa972318ULL, 0x30e54fa79e47c6b0ULL, 0xb2ea2733836f7f49ULL,
+       0x4d1b76602483d3bfULL, 0xb153e9184f6a4a34ULL, 0x38266e25243a699fULL,
+       0x4201d67848334045ULL, 0x91e02420916e8f0eULL, 0x978abf6c52050507ULL,
+       0x68c017a4220d8243ULL, 0x8680a7250b2bfcbdULL, 0xa779b54d3b877bffULL});
+}
+
+TEST(DispatchDifferential, Spot) {
+  expect_dispatch_digests(
+      Architecture::Spot,
+      {0x7c382396040c096bULL, 0x189a340ab49dd1a9ULL, 0xf3465c80caa264f3ULL,
+       0x13174875c2238cecULL, 0x34f9153ea582f09fULL, 0xecf3a979d14abb45ULL,
+       0x631707d1ca056b3cULL, 0x4c9c9023817f6191ULL, 0xf64168b9cb8fcd67ULL,
+       0x71dfeafd30229999ULL, 0x85a2255ec1d87fb3ULL, 0x576e459a9b4147fbULL});
+}
+
+TEST(DispatchDifferential, Serverless) {
+  expect_dispatch_digests(
+      Architecture::Serverless,
+      {0x4a11c70b1279b8d1ULL, 0x90dd22f06e24a257ULL, 0xeaafef86eaef4020ULL,
+       0x64a22a1f83d6b5f3ULL, 0xcdbe092727712b56ULL, 0x90fd5e97f8d4b557ULL,
+       0x29f049ca8a9ac815ULL, 0x5fa2b0209c17f3fdULL, 0x50d0c450ccff2715ULL,
+       0x3fe29bfc1d7fcd58ULL, 0xb0653138374928a1ULL, 0xcbde965403dff73fULL});
+}
+
+TEST(DispatchDifferential, MultiRegion) {
+  expect_dispatch_digests(
+      Architecture::MultiRegion,
+      {0x2b0df8fcd9d44d22ULL, 0x65132d518ccd6dcbULL, 0xb2ea2733836f7f49ULL,
+       0xc74cbc8264cf2f36ULL, 0x0a4edf04f9fceed3ULL, 0x38266e25243a699fULL,
+       0xf3b248460285b063ULL, 0x6d944f975fff2a97ULL, 0x978abf6c52050507ULL,
+       0xc984091690930d89ULL, 0xe40425fb6a1232d7ULL, 0xa779b54d3b877bffULL});
+}
+
+TEST(DispatchDifferential, Volunteer) {
+  expect_dispatch_digests(
+      Architecture::Volunteer,
+      {0x2c20db609c37f5f9ULL, 0xed345decd5c41c7fULL, 0xb2ea2733836f7f49ULL,
+       0xba906047b2b4dec9ULL, 0x9937dfa173ce531aULL, 0x38266e25243a699fULL,
+       0xc3a2774bd7f84c33ULL, 0x848a8785bb7b4753ULL, 0x978abf6c52050507ULL,
+       0xa418667d7cc2e84cULL, 0x0f9295eacc51cd23ULL, 0xa779b54d3b877bffULL});
 }
 
 // The generators themselves, pinned at two horizons each: a short one a
