@@ -1,6 +1,7 @@
 #include "expert/procexec/codec.hpp"
 
-#include <sstream>
+#include <limits>
+#include <string_view>
 
 #include "expert/resilience/serial.hpp"
 #include "expert/util/assert.hpp"
@@ -14,70 +15,78 @@ namespace ser = resilience::serial;
 //   tasks=<id:cpu_hexfloat>[;...]
 // Response payload:
 //   trace <serial trace>
-// Field order is fixed; the decoder rejects anything it does not expect —
-// wire payloads come from a process we forked ourselves, so leniency only
-// hides corruption.
+// Field order and single-space separators are fixed; the decoder rejects
+// anything it does not expect — wire payloads come from a process we
+// forked ourselves, so leniency only hides corruption.
+
+namespace {
+/// Typical bytes per "id:cpu;" task entry, to size the payload once.
+constexpr std::size_t kTaskBytesHint = 28;
+}  // namespace
 
 std::string encode_request(const workload::Bot& bot,
                            const strategies::StrategyConfig& strategy,
                            std::uint64_t stream) {
-  std::ostringstream os;
-  os << "req v1 stream=" << ser::fmt_u64(stream)
-     << " strategy=" << ser::serialize_strategy(strategy)
-     << " bot=" << ser::escape(bot.name()) << " tasks=";
+  std::string out;
+  out.reserve(128 + 3 * (bot.name().size() + strategy.name.size()) +
+              kTaskBytesHint * bot.size());
+  out += "req v1 stream=";
+  ser::append_u64(out, stream);
+  out += " strategy=";
+  ser::append_strategy(out, strategy);
+  out += " bot=";
+  ser::append_escaped(out, bot.name());
+  out += " tasks=";
   bool first = true;
   for (const auto& task : bot.tasks()) {
-    if (!first) os << ';';
+    if (!first) out += ';';
     first = false;
-    os << ser::fmt_u64(task.id) << ':' << ser::fmt_double(task.cpu_seconds);
+    ser::append_u64(out, task.id);
+    out += ':';
+    ser::append_double(out, task.cpu_seconds);
   }
-  return os.str();
+  return out;
 }
 
 Request decode_request(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string magic, version, stream_kv, strategy_kv, bot_kv, tasks_kv;
-  in >> magic >> version >> stream_kv >> strategy_kv >> bot_kv >> tasks_kv;
-  EXPERT_REQUIRE(magic == "req" && version == "v1",
-                 "procexec: not a v1 request payload");
-  EXPERT_REQUIRE(stream_kv.rfind("stream=", 0) == 0 &&
-                     strategy_kv.rfind("strategy=", 0) == 0 &&
-                     bot_kv.rfind("bot=", 0) == 0 &&
-                     tasks_kv.rfind("tasks=", 0) == 0,
-                 "procexec: malformed request fields");
-  std::string trailing;
-  EXPERT_REQUIRE(!(in >> trailing),
-                 "procexec: trailing data after request fields");
-
+  ser::Reader in(payload);
+  EXPERT_REQUIRE(in.consume("req v1 "), "procexec: not a v1 request payload");
   Request request;
-  request.stream = ser::parse_u64(stream_kv.substr(7));
-  request.strategy = ser::parse_strategy(strategy_kv.substr(9));
-  const std::string name = ser::unescape(bot_kv.substr(4));
+  in.expect("stream=");
+  request.stream = in.u64();
+  in.expect(" strategy=");
+  request.strategy = ser::parse_strategy(in.until(' '));
+  in.expect(" bot=");
+  std::string name = ser::unescape(in.until(' '));
+  in.expect(" tasks=");
 
+  // The entry count bounds the reservation by the payload's own size.
   std::vector<workload::Task> tasks;
-  const std::string task_list = tasks_kv.substr(6);
-  if (!task_list.empty()) {
-    for (const std::string& chunk : ser::split(task_list, ';')) {
-      const auto fields = ser::split(chunk, ':');
-      EXPERT_REQUIRE(fields.size() == 2, "procexec: malformed task entry");
-      workload::Task task;
-      task.id = static_cast<workload::TaskId>(ser::parse_u64(fields[0]));
-      task.cpu_seconds = ser::parse_double(fields[1]);
-      tasks.push_back(task);
-    }
+  tasks.reserve(in.count(';') + 1);
+  for (;;) {
+    workload::Task task;
+    task.id = static_cast<workload::TaskId>(
+        in.u64(std::numeric_limits<workload::TaskId>::max()));
+    in.expect(':');
+    task.cpu_seconds = in.real();
+    tasks.push_back(task);
+    if (in.done()) break;
+    in.expect(';');
   }
-  request.bot = workload::Bot(name, std::move(tasks));
+  request.bot = workload::Bot(std::move(name), std::move(tasks));
   return request;
 }
 
 std::string encode_response(const trace::ExecutionTrace& trace) {
-  return "trace " + ser::serialize_trace(trace);
+  std::string out = "trace ";
+  ser::append_trace(out, trace);
+  return out;
 }
 
 trace::ExecutionTrace decode_response(const std::string& payload) {
   EXPERT_REQUIRE(payload.rfind("trace ", 0) == 0,
                  "procexec: not a trace response payload");
-  return ser::parse_trace(payload.substr(6));
+  return ser::parse_trace(std::string_view(payload).substr(6));
 }
 
 }  // namespace expert::procexec

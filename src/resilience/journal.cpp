@@ -35,25 +35,37 @@ std::string header_payload(std::uint64_t options_digest) {
 
 std::string record_payload(const Campaign::BotRecord& record) {
   const Campaign::BotReport& r = record.report;
-  std::ostringstream os;
-  os << "bot next_stream=" << ser::fmt_u64(record.next_stream)
-     << " outcome=" << core::to_string(r.outcome)
-     << " retries=" << ser::fmt_u64(r.retries)
-     << " used_rec=" << (r.used_recommendation ? 1 : 0)
-     << " truncated=" << (r.truncated ? 1 : 0)
-     << " makespan=" << ser::fmt_double(r.makespan)
-     << " tail_makespan=" << ser::fmt_double(r.tail_makespan)
-     << " cost=" << ser::fmt_double(r.cost_per_task_cents) << " degradation="
-     << (r.degradation ? core::to_string(*r.degradation) : "-") << " model="
-     << (r.model_digest ? ser::fmt_hex16(*r.model_digest) : std::string("-"))
-     << " strategy=" << ser::serialize_strategy(r.strategy) << " predicted="
-     << (r.predicted ? ser::serialize_point(*r.predicted) : std::string("-"))
-     << " quality="
-     << (r.quality ? ser::serialize_quality(*r.quality) : std::string("-"))
-     << " history="
-     << (record.history != nullptr ? ser::serialize_trace(*record.history)
-                                   : std::string("-"));
-  return os.str();
+  std::string out = "bot next_stream=";
+  ser::append_u64(out, record.next_stream);
+  out += " outcome=";
+  out += core::to_string(r.outcome);
+  out += " retries=";
+  ser::append_u64(out, r.retries);
+  out += r.used_recommendation ? " used_rec=1" : " used_rec=0";
+  out += r.truncated ? " truncated=1" : " truncated=0";
+  out += " makespan=";
+  ser::append_double(out, r.makespan);
+  out += " tail_makespan=";
+  ser::append_double(out, r.tail_makespan);
+  out += " cost=";
+  ser::append_double(out, r.cost_per_task_cents);
+  out += " degradation=";
+  out += r.degradation ? core::to_string(*r.degradation) : "-";
+  out += " model=";
+  out += r.model_digest ? ser::fmt_hex16(*r.model_digest) : "-";
+  out += " strategy=";
+  ser::append_strategy(out, r.strategy);
+  out += " predicted=";
+  out += r.predicted ? ser::serialize_point(*r.predicted) : "-";
+  out += " quality=";
+  out += r.quality ? ser::serialize_quality(*r.quality) : "-";
+  out += " history=";
+  if (record.history != nullptr) {
+    ser::append_trace(out, *record.history);
+  } else {
+    out += '-';
+  }
+  return out;
 }
 
 RecoveredRecord parse_record_payload(const std::string& payload) {

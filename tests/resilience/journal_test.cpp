@@ -198,6 +198,33 @@ TEST(CampaignJournal, RoundTripsEveryReportField) {
   EXPECT_EQ(recovered.state.quarantined, 0u);
 }
 
+TEST(CampaignJournal, StrategyNamesHoldingEveryByteRoundTrip) {
+  // The record parser splits tokens on every whitespace byte, so a name
+  // holding \t, \v, \f or \r must be escaped like a space.
+  const std::string path = tmp_path("name_bytes");
+  const auto opts = options();
+  const auto trace = make_trace(3);
+  std::vector<std::string> names;
+  {
+    CampaignJournal journal(path, opts);
+    for (int byte = 1; byte < 256; ++byte) {
+      names.push_back("name " + std::string(1, static_cast<char>(byte)) +
+                      " end");
+      auto report = make_report(static_cast<std::uint64_t>(byte));
+      report.strategy.name = names.back();
+      journal.record(Campaign::BotRecord{report, &trace,
+                                         static_cast<std::uint64_t>(byte)});
+    }
+  }
+  const auto recovered = recover_campaign(path, opts);
+  EXPECT_FALSE(recovered.torn_tail);
+  ASSERT_EQ(recovered.records.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(recovered.records[i].report.strategy.name, names[i])
+        << "byte " << i + 1;
+  }
+}
+
 TEST(CampaignJournal, ReplaysHistoryWindowTrimming) {
   const std::string path = tmp_path("window");
   auto opts = options();
