@@ -5,10 +5,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
+
 #include "common.hpp"
 #include "expert/core/expert.hpp"
 #include "expert/gridsim/env/environment.hpp"
 #include "expert/gridsim/executor.hpp"
+#include "expert/procexec/codec.hpp"
 #include "expert/util/rng.hpp"
 #include "expert/workload/presets.hpp"
 
@@ -178,6 +182,78 @@ BENCHMARK_CAPTURE(BM_ArchExecution, multiregion,
 BENCHMARK_CAPTURE(BM_ArchExecution, volunteer,
                   gridsim::env::Architecture::Volunteer)
     ->Unit(benchmark::kMillisecond);
+
+/// The process backend's payloads for the `execute` configuration: the
+/// 820-task WL1 request and the trace of one NTDMr(3) run on the 200-host
+/// classic environment (~1,200 records). Built once for every codec bench.
+struct CodecPayloads {
+  workload::Bot bot;
+  strategies::StrategyConfig strategy;
+  std::optional<trace::ExecutionTrace> trace;
+  std::string request;
+  std::string response;
+};
+
+const CodecPayloads& codec_payloads() {
+  static const CodecPayloads payloads = [] {
+    const auto& wl = workload::workload_spec(workload::WorkloadId::WL1);
+    CodecPayloads p;
+    p.bot = workload::make_bot(workload::WorkloadId::WL1, 0xB07ULL);
+    strategies::NTDMr ntdmr;
+    ntdmr.n = 3;
+    ntdmr.timeout_t = wl.timeout_t;
+    ntdmr.deadline_d = wl.deadline_d;
+    ntdmr.mr = 0.4;
+    p.strategy = strategies::make_ntdmr_strategy(ntdmr);
+    gridsim::ExecutorConfig cfg;
+    cfg.environment = gridsim::env::make_reference_environment(
+        gridsim::env::Architecture::Classic, 200, bench::kGamma11,
+        bench::kTur);
+    cfg.throughput_deadline = wl.deadline_d;
+    cfg.seed = bench::kSeed;
+    p.trace = gridsim::Executor(cfg).run(p.bot, p.strategy, 1);
+    p.request = procexec::encode_request(p.bot, p.strategy, 1);
+    p.response = procexec::encode_response(*p.trace);
+    return p;
+  }();
+  return payloads;
+}
+
+void BM_TraceCodec_encode(benchmark::State& state) {
+  const auto& p = codec_payloads();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(procexec::encode_response(*p.trace));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.response.size()));
+}
+BENCHMARK(BM_TraceCodec_encode)->Name("BM_TraceCodec/encode");
+
+void BM_TraceCodec_decode(benchmark::State& state) {
+  const auto& p = codec_payloads();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(procexec::decode_response(p.response));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.response.size()));
+}
+BENCHMARK(BM_TraceCodec_decode)->Name("BM_TraceCodec/decode");
+
+void BM_RequestCodec_encode(benchmark::State& state) {
+  const auto& p = codec_payloads();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(procexec::encode_request(p.bot, p.strategy, 1));
+  }
+}
+BENCHMARK(BM_RequestCodec_encode)->Name("BM_RequestCodec/encode");
+
+void BM_RequestCodec_decode(benchmark::State& state) {
+  const auto& p = codec_payloads();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(procexec::decode_request(p.request));
+  }
+}
+BENCHMARK(BM_RequestCodec_decode)->Name("BM_RequestCodec/decode");
 
 }  // namespace
 
