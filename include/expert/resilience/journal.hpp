@@ -45,8 +45,11 @@ struct Recovered {
 /// Format: one record per line, `<checksum> <payload>\n`, where the
 /// checksum is a 16-hex-digit util::HashState digest of the payload. The
 /// first line is a header binding the journal to campaign_options_digest.
-/// Doubles are serialized as C hexfloats (`%a`), so a recovered report is
-/// bit-identical to the one recorded. Appends go through a single
+/// Fields use the resilience::serial codec: doubles are canonical C
+/// hexfloats (the bytes glibc's `%a` prints), so a recovered report is
+/// bit-identical to the one recorded; NaN is refused on append and rejected
+/// on recovery, and names are percent-escaped so no field holds the
+/// whitespace the record parser splits on. Appends go through a single
 /// O_APPEND write followed by fsync: a crash leaves at most one torn
 /// trailing line, which recovery detects (checksum mismatch) and drops.
 ///
