@@ -1,0 +1,193 @@
+// Differential test of the Estimator against its frozen reference run
+// (tests/oracle/estimator_oracle.hpp): bitwise-equal RunMetrics and equal
+// trace-CSV bytes over the seven static strategies, sampled NTDMr points,
+// four BoT sizes, five streams and every EstimatorConfig knob the run
+// reads. Mr is never 0 for Budget here: that case has its own tests.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "estimator_oracle.hpp"
+#include "expert/core/estimator.hpp"
+#include "expert/trace/csv_io.hpp"
+#include "expert/util/rng.hpp"
+
+namespace expert::core {
+namespace {
+
+using strategies::StaticStrategyKind;
+using strategies::StrategyConfig;
+
+constexpr double kMean = 1000.0;
+constexpr std::size_t kBotSizes[] = {1, 37, 150, 820};
+
+/// The synthetic model's turnaround CDF under a reliability that changes
+/// with send time, so draws depend on t' as in a characterized history.
+const TurnaroundModel& model() {
+  static const TurnaroundModel m(
+      make_synthetic_model(kMean, 300.0, 3200.0, 0.7).fs(),
+      std::make_shared<PiecewiseReliability>(
+          std::vector<PiecewiseReliability::Window>{{0.0, 3000.0, 0.9},
+                                                    {3000.0, 8000.0, 0.5}},
+          0.75));
+  return m;
+}
+
+EstimatorConfig base_config() {
+  EstimatorConfig cfg;
+  cfg.unreliable_size = 50;
+  cfg.tr = kMean;
+  cfg.throughput_deadline = 4.0 * kMean;
+  cfg.repetitions = 1;
+  cfg.seed = 0x0EAC1EULL;
+  return cfg;
+}
+
+/// Budget (in cents) that the trigger reaches partway through the tail:
+/// the unreliable spend grows with the BoT, the reliable replication of
+/// ~10 tasks costs ~95 cents at T_r = 1000 s and 34 c/h.
+double budget_for(std::size_t tasks) {
+  return 0.5 * static_cast<double>(tasks) + 100.0;
+}
+
+std::vector<StrategyConfig> static_strategies(std::size_t tasks) {
+  std::vector<StrategyConfig> out;
+  for (const double mr : {0.1, 0.5}) {
+    for (const auto kind : strategies::kAllStaticStrategies) {
+      out.push_back(strategies::make_static_strategy(kind, kMean, mr,
+                                                     budget_for(tasks)));
+    }
+  }
+  return out;
+}
+
+/// 24 NTDMr points drawn from a fixed stream: N cycles through 0..3 and
+/// inf, T through 0, D and a fraction of D; D spans 0.6-4 mean turnarounds.
+std::vector<StrategyConfig> sampled_ntdmr() {
+  util::Rng rng(0x5A3D1EULL);
+  std::vector<StrategyConfig> out;
+  for (unsigned i = 0; i < 24; ++i) {
+    strategies::NTDMr p;
+    if (i % 5 != 4) p.n = i % 5;
+    p.deadline_d = rng.uniform(0.6, 4.0) * kMean;
+    switch ((i / 5) % 3) {
+      case 0: p.timeout_t = 0.0; break;
+      case 1: p.timeout_t = p.deadline_d; break;
+      default: p.timeout_t = rng.uniform(0.1, 1.0) * p.deadline_d; break;
+    }
+    // Finite N needs reliable capacity; N = inf also runs at Mr = 0.
+    p.mr = p.n ? rng.uniform(0.02, 0.6) : (i % 2 == 0 ? 0.0 : 0.3);
+    out.push_back(strategies::make_ntdmr_strategy(p));
+  }
+  return out;
+}
+
+std::string csv(const trace::ExecutionTrace& tr) {
+  std::ostringstream out;
+  trace::write_csv(tr, out);
+  return out.str();
+}
+
+void expect_same_bits(const RunMetrics& got, const RunMetrics& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.finished, want.finished) << where;
+  constexpr double RunMetrics::* kFields[] = {
+      &RunMetrics::makespan,
+      &RunMetrics::t_tail,
+      &RunMetrics::tail_makespan,
+      &RunMetrics::total_cost_cents,
+      &RunMetrics::cost_per_task_cents,
+      &RunMetrics::tail_cost_per_tail_task_cents,
+      &RunMetrics::tail_tasks,
+      &RunMetrics::reliable_instances_sent,
+      &RunMetrics::unreliable_instances_sent,
+      &RunMetrics::duplicate_results,
+      &RunMetrics::used_mr,
+      &RunMetrics::max_reliable_queue,
+      &RunMetrics::max_reliable_queue_fraction,
+  };
+  for (std::size_t f = 0; f < std::size(kFields); ++f) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.*kFields[f]),
+              std::bit_cast<std::uint64_t>(want.*kFields[f]))
+        << where << ", RunMetrics field " << f;
+  }
+}
+
+/// Every strategy of `strategies(tasks)` at every BoT size and streams
+/// 1..5 matches the oracle under `cfg`; returns how many runs finished.
+template <typename Strategies>
+std::size_t expect_matches_oracle(const EstimatorConfig& cfg,
+                                  Strategies strategies) {
+  const Estimator estimator(cfg, model());
+  std::size_t finished = 0;
+  for (const std::size_t tasks : kBotSizes) {
+    for (const auto& strategy : strategies(tasks)) {
+      for (std::uint64_t stream = 1; stream <= 5; ++stream) {
+        const auto [got, got_trace] = estimator.simulate(tasks, strategy, stream);
+        const auto [want, want_trace] = estimator_oracle::simulate(
+            cfg, model(), tasks, strategy, stream, /*repetition=*/0);
+        const std::string where = strategy.name + ", " +
+                                  std::to_string(tasks) + " tasks, stream " +
+                                  std::to_string(stream);
+        expect_same_bits(got, want, where);
+        EXPECT_EQ(csv(got_trace), csv(want_trace)) << where;
+        if (got.finished) ++finished;
+      }
+    }
+  }
+  return finished;
+}
+
+TEST(EstimatorOracle, StaticStrategies) {
+  expect_matches_oracle(base_config(), static_strategies);
+}
+
+TEST(EstimatorOracle, SampledNTDMr) {
+  expect_matches_oracle(base_config(),
+                        [](std::size_t) { return sampled_ntdmr(); });
+}
+
+/// Static strategies and the NTDMr sample together.
+std::vector<StrategyConfig> every_strategy(std::size_t tasks) {
+  auto out = static_strategies(tasks);
+  for (auto& s : sampled_ntdmr()) out.push_back(std::move(s));
+  return out;
+}
+
+TEST(EstimatorOracle, TailTasksOverride) {
+  EstimatorConfig cfg = base_config();
+  cfg.tail_tasks_override = 7;
+  expect_matches_oracle(cfg, every_strategy);
+}
+
+TEST(EstimatorOracle, ThroughputDeadlineFromTheModel) {
+  EstimatorConfig cfg = base_config();
+  cfg.throughput_deadline = 0.0;
+  expect_matches_oracle(cfg, every_strategy);
+}
+
+TEST(EstimatorOracle, HourlyBilling) {
+  EstimatorConfig cfg = base_config();
+  cfg.charging_period_r_s = 3600.0;
+  cfg.charging_period_ur_s = 3600.0;
+  expect_matches_oracle(cfg, every_strategy);
+}
+
+TEST(EstimatorOracle, UnfinishedAtAShortHorizon) {
+  EstimatorConfig cfg = base_config();
+  cfg.max_sim_time = 6000.0;
+  const std::size_t finished = expect_matches_oracle(cfg, every_strategy);
+  // The horizon cuts the large BoTs but not the single task.
+  const std::size_t runs = std::size(kBotSizes) * every_strategy(1).size() * 5;
+  EXPECT_GT(finished, 0u);
+  EXPECT_LT(finished, runs);
+}
+
+}  // namespace
+}  // namespace expert::core

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -49,9 +51,9 @@ std::string run_csv(const ExecutorConfig& cfg) {
 
 // ---------------------------------------------------------------------------
 // Golden refactor guard. The digests were pinned at the pre-refactor commit
-// (tools/pin_golden recipe: experiment 11, env seed 0x601D, bot seed 0xB07,
-// run stream 1; then characterize -> 150-task frontier with 3 repetitions
-// and seed 0x601D5EED). A classic environment must keep reproducing them
+// by the runs below: experiment 11, env seed 0x601D, bot seed 0xB07, run
+// stream 1; then characterize -> 150-task frontier with 3 repetitions and
+// seed 0x601D5EED. A classic environment must keep reproducing them
 // byte for byte: any drift in machine build order, RNG stream consumption,
 // or cost arithmetic on the classic path fails here first.
 
@@ -116,24 +118,34 @@ strategies::StrategyConfig arch_ntdmr() {
   return strategies::make_ntdmr_strategy(p);
 }
 
-/// Trace digest of a 200-task BoT on `environment` under chaos `plan`
-/// (none when null) with horizon `max_sim_time`, run with `strategy`.
-std::uint64_t arch_trace_digest(
-    const Environment& environment, const char* plan, std::uint64_t stream,
-    double max_sim_time = 5.0e7,
-    const strategies::StrategyConfig& strategy = arch_ntdmr()) {
+/// The executor config of the architecture goldens: `environment` under
+/// chaos `plan` (none when null) with horizon `max_sim_time`.
+ExecutorConfig arch_config(const Environment& environment, const char* plan,
+                           double max_sim_time = 5.0e7) {
   ExecutorConfig cfg;
   cfg.environment = environment;
   cfg.throughput_deadline = 4.0 * 2066.0;
   cfg.seed = 0xA4C11ULL;
   cfg.max_sim_time = max_sim_time;
   if (plan != nullptr) cfg.chaos = chaos::parse_chaos_plan(plan);
-  const Executor executor(cfg);
-  // Fitting the task-time distribution dominates a run's cost, so the BoT
-  // is drawn once for every case.
+  return cfg;
+}
+
+/// The goldens' 200-task BoT. Fitting the task-time distribution dominates
+/// a run's cost, so it is drawn once for every case.
+const workload::Bot& arch_bot() {
   static const workload::Bot bot = workload::make_synthetic_bot(
       "arch", 200, 2066.0, 300.0, 6000.0, 0xB07ULL);
-  const auto trace = executor.run(bot, strategy, stream);
+  return bot;
+}
+
+/// Trace digest of arch_bot() run with `strategy` under arch_config().
+std::uint64_t arch_trace_digest(
+    const Environment& environment, const char* plan, std::uint64_t stream,
+    double max_sim_time = 5.0e7,
+    const strategies::StrategyConfig& strategy = arch_ntdmr()) {
+  const Executor executor(arch_config(environment, plan, max_sim_time));
+  const auto trace = executor.run(arch_bot(), strategy, stream);
   std::ostringstream csv;
   trace::write_csv(trace, csv);
   return util::HashState(0xA4C11ULL).mix(csv.str()).digest();
@@ -333,6 +345,175 @@ TEST(DispatchDifferential, Volunteer) {
        0xba906047b2b4dec9ULL, 0x9937dfa173ce531aULL, 0x38266e25243a699fULL,
        0xc3a2774bd7f84c33ULL, 0x848a8785bb7b4753ULL, 0x978abf6c52050507ULL,
        0xa418667d7cc2e84cULL, 0x0f9295eacc51cd23ULL, 0xa779b54d3b877bffULL});
+}
+
+// ---------------------------------------------------------------------------
+// Tail-policy pins, taken before the replication policy was shared with the
+// Estimator. The goldens above run NTDMr, CN-inf and AR; these cells run
+// the tails they leave out: TRR (N=0, T=0), TR (N=0, T=D), AUR (N=inf),
+// Budget with a budget the trigger reaches mid-tail, and CN1T0 (overflow
+// plus one unreliable and one reliable tail instance). Each cell combines
+// the trace digests of streams 1..5.
+
+enum class TailStrategy { TRR, TR, AUR, Budget, CN1T0 };
+
+/// Budget in cents that the trigger reaches mid-tail: the grid spend of
+/// a 200-task BoT plus a cloud replication of its last ~15 tasks. Spot
+/// instances bill at the market rate, a fraction of on-demand.
+double mid_tail_budget(Architecture arch) {
+  return arch == Architecture::Spot ? 200.0 : 450.0;
+}
+
+strategies::StrategyConfig tail_strategy(TailStrategy s,
+                                         double budget_cents = 450.0) {
+  using strategies::StaticStrategyKind;
+  const auto make = [budget_cents](StaticStrategyKind kind) {
+    return strategies::make_static_strategy(kind, 2066.0, 0.4, budget_cents);
+  };
+  switch (s) {
+    case TailStrategy::TRR:
+      return make(StaticStrategyKind::TRR);
+    case TailStrategy::TR:
+      return make(StaticStrategyKind::TR);
+    case TailStrategy::AUR:
+      return make(StaticStrategyKind::AUR);
+    case TailStrategy::Budget:
+      return make(StaticStrategyKind::Budget);
+    case TailStrategy::CN1T0:
+      break;
+  }
+  return make(StaticStrategyKind::CN1T0);
+}
+
+/// Cells in order: {no chaos, kFullChaosPlan} x {TRR, TR, AUR, Budget,
+/// CN1T0}; strategies that need a cloud skip environments without one.
+void expect_tail_digests(Architecture arch,
+                         const std::array<std::uint64_t, 10>& golden) {
+  const Environment environment =
+      make_reference_environment(arch, 40, 0.827, 2066.0);
+  std::size_t cell = 0;
+  for (const char* plan :
+       {static_cast<const char*>(nullptr), kFullChaosPlan}) {
+    for (const auto s : {TailStrategy::TRR, TailStrategy::TR,
+                         TailStrategy::AUR, TailStrategy::Budget,
+                         TailStrategy::CN1T0}) {
+      const std::size_t at = cell++;
+      if (s != TailStrategy::AUR && !environment.has_cloud()) continue;
+      const auto strategy = tail_strategy(s, mid_tail_budget(arch));
+      util::HashState h(0x7A11u);
+      for (std::uint64_t stream = 1; stream <= 5; ++stream) {
+        h.mix(arch_trace_digest(environment, plan, stream, 5.0e7, strategy));
+      }
+      EXPECT_EQ(h.digest(), golden[at])
+          << to_string(arch) << ", "
+          << (plan != nullptr ? "full chaos" : "no chaos") << ", "
+          << strategy.name << " (cell " << at << ")";
+    }
+  }
+}
+
+TEST(TailPolicyGolden, Classic) {
+  expect_tail_digests(
+      Architecture::Classic,
+      {0x5b904a00d96667dcULL, 0x93e7eb370d8ca8a7ULL, 0x7de46c1881aa4497ULL,
+       0x5f9534d2af3a621eULL, 0x745ef89c42ff1737ULL, 0x869521e0c591dc14ULL,
+       0xb11d90a04e38b695ULL, 0xa8db66f61b44886aULL, 0x366185c9d37c47beULL,
+       0x577e32e32da4c427ULL});
+}
+
+TEST(TailPolicyGolden, Spot) {
+  expect_tail_digests(
+      Architecture::Spot,
+      {0xddd25ca1dd2e11b3ULL, 0xc35654522c6ff646ULL, 0xa6dc8d193ca1aab9ULL,
+       0xd81d609167ec46aeULL, 0xbef611556102d139ULL, 0x3c94e07361519096ULL,
+       0x111bce357953d323ULL, 0x622a18bfe83c5082ULL, 0x414a82d5be286737ULL,
+       0x78bfe2f593ce77d6ULL});
+}
+
+TEST(TailPolicyGolden, Serverless) {
+  expect_tail_digests(
+      Architecture::Serverless,
+      {0xeb2f30456eda3bcdULL, 0x5a08de95cf098eefULL, 0x58b3d7b9ec550ab0ULL,
+       0x5d30314a07430c7aULL, 0x7b4e6681b85d133eULL, 0xc1ce869b8d913ccdULL,
+       0x952464f5a289fa8dULL, 0x21d90ec1f8c35fcdULL, 0x286a075f987e0716ULL,
+       0xf0b6fecc6ddf17e9ULL});
+}
+
+TEST(TailPolicyGolden, MultiRegion) {
+  expect_tail_digests(
+      Architecture::MultiRegion,
+      {0x3d295806116c03efULL, 0x7007b4a7dad9c327ULL, 0x941d278972684118ULL,
+       0xd903b905d593b1e2ULL, 0x08b3fc632fc45bdaULL, 0x05d1b2b342826f9dULL,
+       0xdf2bf3e730f768b1ULL, 0xffac4d6e8123a497ULL, 0x83c502a1727b8cb9ULL,
+       0xc155c5d4c2af79cfULL});
+}
+
+TEST(TailPolicyGolden, Volunteer) {
+  expect_tail_digests(
+      Architecture::Volunteer,
+      {0x1e51c59933a791e1ULL, 0x7817a83140349a59ULL, 0x6599e31f5782627fULL,
+       0xf28a13d76e7ff302ULL, 0x944e70d75a5eaf8aULL, 0x06983355ead9110fULL,
+       0x8d686c60926b0699ULL, 0x06edf82e1301546aULL, 0x55721001b1b5c64eULL,
+       0x8081a8c0fc7e1cf6ULL});
+}
+
+TEST(TailPolicyGolden, BudgetFiresMidTail) {
+  // The pinned Budget cells exercise the trigger only if it fires after
+  // T_tail: the first cloud instance goes out strictly inside the tail.
+  for (const auto arch : {Architecture::Classic, Architecture::Spot,
+                          Architecture::Serverless, Architecture::MultiRegion,
+                          Architecture::Volunteer}) {
+    const Executor executor(arch_config(
+        make_reference_environment(arch, 40, 0.827, 2066.0), nullptr));
+    for (std::uint64_t stream = 1; stream <= 5; ++stream) {
+      const auto tr = executor.run(
+          arch_bot(),
+          tail_strategy(TailStrategy::Budget, mid_tail_budget(arch)), stream);
+      double first_reliable = std::numeric_limits<double>::infinity();
+      for (const auto& r : tr.records()) {
+        if (r.pool == trace::PoolKind::Reliable) {
+          first_reliable = std::min(first_reliable, r.send_time);
+        }
+      }
+      EXPECT_GT(first_reliable, tr.t_tail())
+          << to_string(arch) << ", stream " << stream;
+      EXPECT_LT(first_reliable, tr.makespan())
+          << to_string(arch) << ", stream " << stream;
+    }
+  }
+}
+
+/// run_adaptive: AUR (Mr = 0) through the throughput phase, then a fixed
+/// selector installs TRR at T_tail, which lifts the reliable cap from 0 and
+/// sends every remaining task to the cloud.
+TEST(TailPolicyGolden, SelectorInstallsTRRAtTheTail) {
+  const Environment environment =
+      make_reference_environment(Architecture::Classic, 40, 0.827, 2066.0);
+  const std::uint64_t golden[] = {0x53dfb12fd001a5cbULL,
+                                  0xd94176dda4a9350bULL};
+  std::size_t at = 0;
+  for (const char* plan :
+       {static_cast<const char*>(nullptr), kFullChaosPlan}) {
+    const Executor executor(arch_config(environment, plan));
+    std::size_t calls = 0;
+    const Executor::TailStrategySelector selector =
+        [&calls](const trace::ExecutionTrace&) {
+          ++calls;
+          return tail_strategy(TailStrategy::TRR);
+        };
+    util::HashState h(0x5E1Eu);
+    for (std::uint64_t stream = 1; stream <= 5; ++stream) {
+      const auto tr = executor.run_adaptive(
+          arch_bot(), tail_strategy(TailStrategy::AUR), selector, stream);
+      EXPECT_GT(tr.reliable_instances_sent(), 0u) << "stream " << stream;
+      std::ostringstream csv;
+      trace::write_csv(tr, csv);
+      h.mix(csv.str());
+    }
+    EXPECT_EQ(calls, 5u);
+    EXPECT_EQ(h.digest(), golden[at++])
+        << (plan != nullptr ? "full chaos" : "no chaos");
+  }
 }
 
 // The generators themselves, pinned at two horizons each: a short one a
