@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 
 #include "expert/core/estimator.hpp"
+#include "expert/trace/csv_io.hpp"
 
 namespace expert::core {
 namespace {
@@ -114,6 +116,29 @@ TEST(StaticStrategySemantics, BudgetFiresOnceAffordable) {
       60, make_static_strategy(StaticStrategyKind::Budget, kMean, 0.5,
                                /*budget=*/1.0e6));
   EXPECT_GT(m.reliable_instances_sent, 0.0);
+}
+
+TEST(StaticStrategySemantics, BudgetWithoutReliableCapacityRunsAsAUR) {
+  // Mr = 0 leaves nothing to replicate onto, so the trigger never fires,
+  // whatever the budget: the run is AUR's, byte for byte.
+  Estimator est(config(40), model(0.7));
+  const auto csv = [&](const strategies::StrategyConfig& s,
+                       std::uint64_t stream) {
+    const auto [m, tr] = est.simulate(100, s, stream);
+    EXPECT_TRUE(m.finished) << s.name << ", stream " << stream;
+    std::ostringstream out;
+    trace::write_csv(tr, out);
+    return out.str();
+  };
+  const auto aur = make_static_strategy(StaticStrategyKind::AUR, kMean, 0.0);
+  for (const double budget : {1.0, 60.0, 1.0e9}) {
+    const auto budget_strategy = make_static_strategy(
+        StaticStrategyKind::Budget, kMean, /*mr_max=*/0.0, budget);
+    for (std::uint64_t stream = 1; stream <= 3; ++stream) {
+      EXPECT_EQ(csv(budget_strategy, stream), csv(aur, stream))
+          << "budget " << budget << ", stream " << stream;
+    }
+  }
 }
 
 TEST(StaticStrategySemantics, LargerBudgetNeverSlower) {

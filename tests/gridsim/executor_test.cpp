@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "expert/gridsim/env/environment.hpp"
 #include "expert/gridsim/presets.hpp"
+#include "expert/trace/csv_io.hpp"
 #include "expert/util/assert.hpp"
 #include "expert/workload/presets.hpp"
 
@@ -172,6 +176,35 @@ TEST(Executor, BudgetStrategyStaysNearBudget) {
   // The trigger replicates only when the estimated cost fits; the total can
   // exceed the budget only by estimation error on task lengths.
   EXPECT_LT(trace.total_cost_cents(), budget * 1.5);
+}
+
+TEST(Executor, BudgetWithoutReliableCapacityRunsAsAUR) {
+  // Mr = 0 caps the cloud at zero machines, so the trigger never fires,
+  // whatever the budget: the run is AUR's, byte for byte.
+  ExecutorConfig cfg;
+  cfg.environment = env::make_reference_environment(
+      env::Architecture::Classic, 40, 0.827, 1000.0);
+  cfg.throughput_deadline = 4.0 * 1000.0;
+  cfg.seed = 4242;
+  const Executor ex(cfg);
+  const auto bot = small_bot(100);
+  const auto csv = [&](const strategies::StrategyConfig& s,
+                       std::uint64_t stream) {
+    const auto tr = ex.run(bot, s, stream);
+    EXPECT_FALSE(tr.truncated()) << s.name << ", stream " << stream;
+    std::ostringstream out;
+    trace::write_csv(tr, out);
+    return out.str();
+  };
+  const auto aur = make_static_strategy(StaticStrategyKind::AUR, 1000.0, 0.0);
+  for (const double budget : {1.0, 100.0, 1.0e9}) {
+    const auto budget_strategy = make_static_strategy(
+        StaticStrategyKind::Budget, 1000.0, /*mr_max=*/0.0, budget);
+    for (std::uint64_t stream = 1; stream <= 3; ++stream) {
+      EXPECT_EQ(csv(budget_strategy, stream), csv(aur, stream))
+          << "budget " << budget << ", stream " << stream;
+    }
+  }
 }
 
 TEST(Executor, CombinedPoolOverflowsToReliable) {
