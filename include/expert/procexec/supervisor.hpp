@@ -69,7 +69,9 @@ struct SupervisorOptions {
 /// every spawned pid is reaped exactly once (stats().spawned ==
 /// stats().reaped after destruction) — the no-orphans invariant the kill
 /// matrix asserts. Thread-safe: concurrent run() calls occupy distinct
-/// slots and block when all slots are busy.
+/// slots and block when all slots are busy. The pool outlives every run()
+/// it started: the destructor kills the workers of runs still in flight
+/// (a watchdog may have abandoned them) and waits until each returned.
 class ProcessPool {
  public:
   explicit ProcessPool(SupervisorOptions options);
@@ -119,9 +121,15 @@ class ProcessPool {
     std::string buffer;       ///< unread tail of the channel byte stream
   };
 
-  /// Block until a slot is free and claim it for one run() call.
+  /// Block until a slot is free and claim it for one run() call. Throws
+  /// SpawnFailure once the pool is being destroyed.
   std::size_t acquire_slot() EXPERT_EXCLUDES(mutex_);
+  /// Free the slot: the last touch of the pool by the run() that held it.
   void release_slot(std::size_t index) EXPERT_EXCLUDES(mutex_);
+
+  /// Refuse new runs, SIGKILL the workers of runs in flight, and wait
+  /// until every run() has left the pool.
+  void drain() EXPERT_EXCLUDES(mutex_);
 
   /// Fork + exec a worker into the slot. The argv block is assembled
   /// before fork so the child performs only async-signal-safe calls.
@@ -156,6 +164,9 @@ class ProcessPool {
   SupervisorOptions options_;
   mutable util::Mutex mutex_;
   util::CondVar slot_freed_;
+  bool closing_ EXPERT_GUARDED_BY(mutex_) = false;  ///< the destructor runs
+  /// run() calls blocked in acquire_slot().
+  std::size_t waiting_ EXPERT_GUARDED_BY(mutex_) = 0;
   std::vector<Slot> slots_ EXPERT_GUARDED_BY(mutex_);
   Stats stats_ EXPERT_GUARDED_BY(mutex_);
 };
