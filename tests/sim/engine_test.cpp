@@ -90,6 +90,19 @@ TEST(Engine, RunUntilStopsAtHorizon) {
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
 }
 
+TEST(Engine, RunUntilHonoursTheHorizonBehindACancelledEvent) {
+  Engine engine;
+  std::vector<double> fired;
+  auto cancelled = engine.schedule_at(10.0, [&] { fired.push_back(10.0); });
+  engine.schedule_at(20.0, [&] { fired.push_back(engine.now()); });
+  cancelled.cancel();
+  engine.run_until(15.0);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_DOUBLE_EQ(engine.now(), 15.0);
+  engine.run_until(25.0);
+  EXPECT_EQ(fired, (std::vector<double>{20.0}));
+}
+
 TEST(Engine, StopEndsRunEarly) {
   Engine engine;
   std::vector<double> fired;
