@@ -110,6 +110,12 @@ class Estimator {
   std::pair<RunMetrics, trace::ExecutionTrace> simulate(
       std::size_t task_count, const strategies::StrategyConfig& strategy,
       std::uint64_t stream = 0, std::size_t repetition = 0) const;
+  /// The same repetition without collecting its trace: simulate().first,
+  /// bit for bit. estimate() and the eval layer run this.
+  RunMetrics simulate_metrics(std::size_t task_count,
+                              const strategies::StrategyConfig& strategy,
+                              std::uint64_t stream = 0,
+                              std::size_t repetition = 0) const;
 
  private:
   EstimatorConfig config_;

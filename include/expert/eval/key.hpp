@@ -40,7 +40,7 @@ struct EvalKey {
   /// the drift detector has declared stale.
   std::uint64_t model = 0;
 
-  /// The stream passed to Estimator::simulate for this evaluation.
+  /// The stream passed to Estimator::simulate_metrics for this evaluation.
   std::uint64_t stream() const noexcept { return sim; }
 
   friend bool operator==(const EvalKey& a, const EvalKey& b) noexcept {

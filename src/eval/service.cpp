@@ -115,10 +115,8 @@ std::vector<EvalResult> EvalService::evaluate(
     const auto unit_body = [&](std::size_t u) {
       const std::size_t m = u / repetitions;
       const std::size_t rep = u % repetitions;
-      runs[m][rep] = estimator
-                         .simulate(task_count, configs[m],
-                                   keys[misses[m]].stream(), rep)
-                         .first;
+      runs[m][rep] = estimator.simulate_metrics(
+          task_count, configs[m], keys[misses[m]].stream(), rep);
     };
     if (options.threads == 1 || unit_count == 1) {
       for (std::size_t u = 0; u < unit_count; ++u) unit_body(u);

@@ -184,10 +184,10 @@ TEST(EvalService, EvaluateOneMatchesBatch) {
   expect_identical(batch[3], one[0]);
 }
 
-// Acceptance: a second identical frontier sweep performs ZERO
-// Estimator::simulate calls — every candidate is served by the cache. The
-// obs registry counts simulate() invocations (core.estimator.runs), so the
-// sweep pair is observed end to end through generate_frontier itself.
+// Acceptance: a second identical frontier sweep performs ZERO estimator
+// runs — every candidate is served by the cache. The obs registry counts
+// every run, traced or metrics-only (core.estimator.runs), so the sweep
+// pair is observed end to end through generate_frontier itself.
 TEST(EvalService, WarmFrontierSweepRunsZeroSimulations) {
   obs::Registry& reg = obs::Registry::global();
   reg.set_enabled(true);

@@ -91,6 +91,43 @@ TEST(Instrumentation, OneRunPopulatesAllLayers) {
   tracer.set_enabled(false);
 }
 
+// The Estimator runs on its own event queue; its events still count in
+// sim.engine.*. The pinned counts are those of one finished run of this
+// strategy on sim::Engine, before the Estimator had its own queue, so they
+// also pin the event stream.
+TEST(Instrumentation, EstimatorEventsCountInTheEngineMetrics) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
+
+  core::UserParams params;
+  auto cfg = core::EstimatorConfig::from_user_params(params, /*pool=*/20);
+  cfg.repetitions = 1;
+  core::Estimator estimator(
+      cfg, core::make_synthetic_model(2066.0, 300.0, 6000.0, 0.85));
+  strategies::NTDMr p;
+  p.n = 2;
+  p.timeout_t = 1000.0;
+  p.deadline_d = 4132.0;
+  p.mr = 0.1;
+  const auto strategy = strategies::make_ntdmr_strategy(p);
+  const auto expect_counts = [&](std::uint64_t runs) {
+    const auto snap = reg.snapshot();
+    ASSERT_NE(snap.counter("sim.engine.events_scheduled"), nullptr);
+    EXPECT_EQ(snap.counter("sim.engine.runs")->value, runs);
+    EXPECT_EQ(snap.counter("sim.engine.events_scheduled")->value, runs * 167u);
+    EXPECT_EQ(snap.counter("sim.engine.events_fired")->value, runs * 89u);
+    EXPECT_EQ(snap.counter("sim.engine.events_cancelled")->value, runs * 47u);
+  };
+  EXPECT_TRUE(estimator.estimate(60, strategy, 3).mean.finished);
+  expect_counts(1);
+  // The traced run schedules the same events.
+  EXPECT_TRUE(estimator.simulate(60, strategy, 3).first.finished);
+  expect_counts(2);
+
+  reg.set_enabled(false);
+}
+
 TEST(Instrumentation, DisabledRegistryStaysEmpty) {
   obs::Registry& reg = obs::Registry::global();
   reg.set_enabled(false);
