@@ -133,7 +133,8 @@ TEST(Characterize, OnlineIgnoresPostTailData) {
   auto records = base.records();
   for (int i = 0; i < 500; ++i) {
     trace::InstanceRecord r;
-    r.task = static_cast<workload::TaskId>(i % base.task_count());
+    r.task = static_cast<workload::TaskId>(static_cast<std::size_t>(i) %
+                                           base.task_count());
     r.pool = trace::PoolKind::Unreliable;
     r.send_time = 10000.0 + i;
     r.turnaround = trace::kNeverReturns;
