@@ -34,6 +34,7 @@ strategies::StrategyConfig knee_strategy() {
   return strategies::make_ntdmr_strategy(p);
 }
 
+/// One traced run: the instance trace is built as well (figures, CLI).
 void BM_SingleStrategyOneRun(benchmark::State& state) {
   const auto estimator = make_estimator(1);
   const auto strategy = knee_strategy();
@@ -44,6 +45,18 @@ void BM_SingleStrategyOneRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SingleStrategyOneRun);
+
+/// The same run, metrics only: what estimate() and the eval layer pay.
+void BM_SingleStrategyOneRunMetricsOnly(benchmark::State& state) {
+  const auto estimator = make_estimator(1);
+  const auto strategy = knee_strategy();
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        estimator.simulate_metrics(bench::kBotTasks, strategy, stream++));
+  }
+}
+BENCHMARK(BM_SingleStrategyOneRunMetricsOnly);
 
 void BM_SingleStrategyTenRepetitions(benchmark::State& state) {
   const auto estimator = make_estimator(10);
@@ -111,7 +124,7 @@ void BM_FullFrontierSweepPaperResolution(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFrontierSweepPaperResolution)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(8);
 
 void BM_FrontierSweepWarmCache(benchmark::State& state) {
   // A repeated sweep over an unchanged estimator — a campaign re-planning
@@ -141,7 +154,7 @@ void BM_FrontierSweepSingleRepetition(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierSweepSingleRepetition)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(40);
 
 void BM_ArchExecution(benchmark::State& state,
                       gridsim::env::Architecture arch) {
