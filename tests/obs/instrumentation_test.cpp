@@ -118,6 +118,11 @@ TEST(Instrumentation, EstimatorEventsCountInTheEngineMetrics) {
     EXPECT_EQ(snap.counter("sim.engine.events_scheduled")->value, runs * 167u);
     EXPECT_EQ(snap.counter("sim.engine.events_fired")->value, runs * 89u);
     EXPECT_EQ(snap.counter("sim.engine.events_cancelled")->value, runs * 47u);
+    // Every pending event counts once in the depth, wherever it waits.
+    const auto* depth = snap.histogram("sim.engine.max_queue_depth");
+    ASSERT_NE(depth, nullptr);
+    EXPECT_EQ(depth->count, runs);
+    EXPECT_EQ(depth->max, 88.0);
   };
   EXPECT_TRUE(estimator.estimate(60, strategy, 3).mean.finished);
   expect_counts(1);
