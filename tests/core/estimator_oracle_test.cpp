@@ -2,13 +2,19 @@
 // (tests/oracle/estimator_oracle.hpp): bitwise-equal RunMetrics from both
 // the traced and the metrics-only run, and equal trace-CSV bytes, over the
 // seven static strategies, sampled NTDMr points, four BoT sizes, five
-// streams and every EstimatorConfig knob the run reads. Mr is never 0 for
-// Budget here: that case has its own tests.
+// streams and every EstimatorConfig knob the run reads. The oracle drops
+// the instances still running when the horizon cuts a run; the Estimator
+// records them after the oracle's records, so an unfinished run's trace
+// is compared up to them. Mr is never 0 for Budget here: that case has its
+// own tests.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +32,7 @@ using strategies::StaticStrategyKind;
 using strategies::StrategyConfig;
 
 constexpr double kMean = 1000.0;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kBotSizes[] = {1, 37, 150, 820};
 
 /// The synthetic model's turnaround CDF under a reliability that changes
@@ -140,6 +147,34 @@ void expect_within_horizon(const RunMetrics& m, const trace::ExecutionTrace& tr,
   }
 }
 
+/// A finished run's trace is the oracle's, byte for byte. A run cut at the
+/// horizon is marked truncated, and its records are the oracle's followed
+/// by one unreturned Timeout per instance still running, in send order.
+void expect_same_trace(const RunMetrics& m, const trace::ExecutionTrace& got,
+                       const trace::ExecutionTrace& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.truncated(), !m.finished) << where;
+  if (m.finished) {
+    EXPECT_EQ(csv(got), csv(want)) << where;
+    return;
+  }
+  const auto& records = got.records();
+  const auto recorded = static_cast<std::ptrdiff_t>(want.records().size());
+  ASSERT_GE(std::ssize(records), recorded) << where;
+  const trace::ExecutionTrace head(
+      got.task_count(), {records.begin(), records.begin() + recorded},
+      got.t_tail(), got.makespan());
+  EXPECT_EQ(csv(head), csv(want)) << where;
+  double last_send = 0.0;
+  for (auto r = records.begin() + recorded; r != records.end(); ++r) {
+    EXPECT_EQ(r->outcome, trace::InstanceOutcome::Timeout) << where;
+    EXPECT_EQ(r->turnaround, kInf) << where;
+    EXPECT_EQ(r->cost_cents, 0.0) << where;
+    EXPECT_LE(last_send, r->send_time) << where;
+    last_send = r->send_time;
+  }
+}
+
 /// Every strategy of `strategies(tasks)` at every BoT size and streams
 /// 1..5 matches the oracle under `cfg`, traced and metrics-only; returns
 /// how many runs finished.
@@ -158,7 +193,7 @@ std::size_t expect_matches_oracle(const EstimatorConfig& cfg,
         expect_same_bits(got, want, where);
         expect_same_bits(estimator.simulate_metrics(tasks, strategy, stream),
                          want, where + ", metrics only");
-        EXPECT_EQ(csv(got_trace), csv(want_trace)) << where;
+        expect_same_trace(got, got_trace, want_trace, where);
         expect_within_horizon(got, got_trace, cfg.max_sim_time, where);
         if (got.finished) ++finished;
       }
@@ -210,6 +245,36 @@ TEST(EstimatorOracle, UnfinishedAtAShortHorizon) {
   const std::size_t runs = std::size(kBotSizes) * every_strategy(1).size() * 5;
   EXPECT_GT(finished, 0u);
   EXPECT_LT(finished, runs);
+}
+
+/// Each instance a cut run sent is in its trace exactly once: returned,
+/// lost, or still running at the horizon.
+TEST(EstimatorOracle, TruncatedTraceHoldsEverySentInstance) {
+  EstimatorConfig cfg = base_config();
+  cfg.max_sim_time = 6000.0;
+  const Estimator estimator(cfg, model());
+  std::size_t truncated = 0;
+  for (const std::size_t tasks : kBotSizes) {
+    for (const auto& strategy : every_strategy(tasks)) {
+      for (std::uint64_t stream = 1; stream <= 5; ++stream) {
+        const auto [m, tr] = estimator.simulate(tasks, strategy, stream);
+        if (m.finished) continue;
+        ++truncated;
+        const auto sent = std::count_if(
+            tr.records().begin(), tr.records().end(), [](const auto& r) {
+              return r.outcome != trace::InstanceOutcome::Cancelled;
+            });
+        const std::string where = run_name(strategy, tasks, stream);
+        EXPECT_EQ(m.unreliable_instances_sent + m.reliable_instances_sent,
+                  static_cast<double>(sent))
+            << where;
+        EXPECT_EQ(m.reliable_instances_sent,
+                  static_cast<double>(tr.reliable_instances_sent()))
+            << where;
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u);
 }
 
 TEST(EstimatorOracle, EstimateAggregatesTracedRepetitions) {
