@@ -80,6 +80,20 @@ void BM_EstimatorScalesWithBotSize(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimatorScalesWithBotSize)->Range(64, 4096)->Complexity();
 
+/// The same BoT sizes, metrics only.
+void BM_EstimatorScalesWithBotSizeMetricsOnly(benchmark::State& state) {
+  const auto estimator = make_estimator(1);
+  const auto strategy = knee_strategy();
+  const auto tasks = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(estimator.simulate_metrics(tasks, strategy));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_EstimatorScalesWithBotSizeMetricsOnly)
+    ->Range(64, 4096)
+    ->Complexity();
+
 void BM_ParetoFrontierComputation(benchmark::State& state) {
   util::Rng rng(1);
   std::vector<core::StrategyPoint> points(
