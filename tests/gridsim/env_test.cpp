@@ -13,6 +13,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "expert/core/expert.hpp"
 #include "expert/eval/key.hpp"
@@ -889,6 +890,41 @@ TEST(EnvDigest, ReferenceEnvironmentsPairwiseDistinct) {
         make_reference_environment(arch, 50, 0.827, 2066.0).digest());
   }
   EXPECT_EQ(digests.size(), all_architectures().size());
+}
+
+// Golden digests: the eval layer keys every non-classic evaluation's RNG
+// stream by Environment::digest(), so a change to what it mixes moves every
+// such result. Pinned from the parent of the availability-trace deletion.
+TEST(EnvironmentDigest, Golden) {
+  const std::array<std::pair<Architecture, std::uint64_t>, 5> golden = {{
+      {Architecture::Classic, 0x2878763de0b4e588ULL},
+      {Architecture::Spot, 0xddfaa7de295b875dULL},
+      {Architecture::Serverless, 0xa6d239ca2ae5cd4dULL},
+      {Architecture::MultiRegion, 0x4f02df9d2d7fd7b0ULL},
+      {Architecture::Volunteer, 0x5a9448d0783bae40ULL},
+  }};
+  for (const auto& [arch, digest] : golden) {
+    EXPECT_EQ(make_reference_environment(arch, 50, 0.827, 2066.0).digest(),
+              digest)
+        << to_string(arch);
+  }
+
+  // A classic environment whose machine group sets every field away from
+  // its default.
+  MachineGroup g;
+  g.count = 7;
+  g.speed_mean = 1.25;
+  g.speed_cv = 0.3;
+  g.availability = stats::AvailabilityModel{5000.0, 700.0, 0.6};
+  g.availability_cv = 0.4;
+  g.price = PriceSpec{0.002, 3600.0};
+  g.failure_notice_prob = 0.35;
+  g.mean_queue_wait_s = 120.0;
+  PoolConfig grid;
+  grid.name = "every-field";
+  grid.groups = {g};
+  EXPECT_EQ(Environment::classic(grid, make_tech(3)).digest(),
+            0x599851e0c7f25475ULL);
 }
 
 TEST(EnvDigest, EvalKeySeparatesArchitectures) {
