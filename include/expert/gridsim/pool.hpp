@@ -1,10 +1,9 @@
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "expert/gridsim/availability_trace.hpp"
 #include "expert/stats/distributions.hpp"
 
 namespace expert::gridsim {
@@ -44,10 +43,6 @@ struct MachineGroup {
   /// and execution start (remote batch-queue latency). The paper only
   /// assumes waiting times "can be modeled statistically"; 0 disables it.
   double mean_queue_wait_s = 0.0;
-  /// Optional Failure-Trace-Archive-style availability replay. When set,
-  /// machines walk the trace's up intervals (machine i uses trace row
-  /// i mod machine_count) instead of drawing from `availability`.
-  std::shared_ptr<const AvailabilityTrace> trace;
 };
 
 /// A resource pool: a named collection of machine groups, used either as

@@ -131,19 +131,12 @@ struct Machine {
   /// Contiguous grid-group ordinal across every Grid-role pool (blackout
   /// targeting); kNoGridGroup for cloud machines.
   std::size_t grid_group = kNoGridGroup;
+  /// The host's own draws (Run::draw_host); every other machine fact is
+  /// read through `group`.
   double speed = 1.0;
   double mean_up = 0.0;
-  double mean_down = 0.0;
-  double up_shape = 1.0;
-  PriceSpec price;
-  double failure_notice_prob = 0.0;
-  double mean_queue_wait = 0.0;
   bool reliable_pool = false;
   std::size_t kills = 0;  ///< instances lost to this host (exclusion)
-  /// Trace replay: when set, availability walks these up intervals instead
-  /// of drawing from the exponential model.
-  const std::vector<UpInterval>* spans = nullptr;
-  std::size_t next_span = 0;
 
   /// Written only through Run::set_state, which keeps the idle index in
   /// step with them.
@@ -169,6 +162,13 @@ struct Machine {
   std::uint64_t avail_epoch = 0;
   /// Flash-crowd spare: excluded from l_ur (Mr cap, tail trigger).
   bool spare = false;
+
+  /// The host's up/down process: its own mean up-time under the group's
+  /// mean down-time and up-time shape.
+  stats::AvailabilityModel availability() const {
+    return {mean_up, group->availability.mean_down_seconds,
+            group->availability.up_shape};
+  }
 };
 
 /// A set of machine indices as a bitset: dispatch keeps one per role
@@ -270,12 +270,7 @@ class Run {
         continue;
       }
       if (first != nullptr) arm_force_down(m, *first);
-      if (machine.spans != nullptr) {
-        set_state(m, /*up=*/false, machine.busy);
-        arm_trace_transition(m);
-      } else {
-        schedule_down(m);
-      }
+      schedule_down(m);
     }
     policy_.start({
         .throughput_deadline = cfg_.throughput_deadline > 0.0
@@ -375,9 +370,23 @@ class Run {
       // Unit-mean lognormal multiplier: host-to-host reliability spread.
       m.mean_up *= rng_.lognormal(-0.5 * sigma2, std::sqrt(sigma2));
     }
-    m.mean_down = g.availability.mean_down_seconds;
-    m.up_shape = g.availability.up_shape;
     m.kills = 0;
+  }
+
+  /// A machine slot of group `g` with its host drawn. Cloud machines have
+  /// no grid group.
+  Machine make_machine(const MachineGroup& g, std::size_t pool_index,
+                       std::size_t group_in_pool, std::size_t ordinal_in_pool,
+                       std::size_t grid_group) {
+    Machine m;
+    m.group = &g;
+    m.pool_index = pool_index;
+    m.group_in_pool = group_in_pool;
+    m.ordinal_in_pool = ordinal_in_pool;
+    m.grid_group = grid_group;
+    m.reliable_pool = grid_group == kNoGridGroup;
+    draw_host(m);
+    return m;
   }
 
   void build_machines(std::uint64_t stream) {
@@ -392,21 +401,9 @@ class Run {
       for (const auto& g : spec.pool.groups) {
         if (!reliable) grid_groups_.push_back({&g, pi, group_idx});
         for (std::size_t i = 0; i < g.count; ++i) {
-          Machine m;
-          m.group = &g;
-          m.pool_index = pi;
-          m.group_in_pool = group_idx;
-          m.ordinal_in_pool = ordinal++;
-          m.grid_group = reliable ? kNoGridGroup : grid_groups_.size() - 1;
-          m.price = g.price;
-          m.failure_notice_prob = g.failure_notice_prob;
-          m.mean_queue_wait = g.mean_queue_wait_s;
-          m.reliable_pool = reliable;
-          draw_host(m);
-          if (g.trace != nullptr) {
-            m.spans = &g.trace->machine(i % g.trace->machine_count());
-          }
-          machines_.push_back(m);
+          machines_.push_back(make_machine(
+              g, pi, group_idx, ordinal++,
+              reliable ? kNoGridGroup : grid_groups_.size() - 1));
           (reliable ? reliable_count_ : unreliable_count_) += 1;
         }
         ++group_idx;
@@ -440,23 +437,10 @@ class Run {
         const auto extra = static_cast<std::size_t>(
             std::ceil(chaos_->flash_fraction * static_cast<double>(g.count)));
         for (std::size_t i = 0; i < extra; ++i) {
-          Machine m;
-          m.group = &g;
-          m.pool_index = pi;
-          m.group_in_pool = grid_groups_[gi].group_in_pool;
-          m.ordinal_in_pool =
-              pools[pi].pool.total_machines() + extra_in_pool[pi]++;
-          m.grid_group = gi;
-          m.price = g.price;
-          m.failure_notice_prob = g.failure_notice_prob;
-          m.mean_queue_wait = g.mean_queue_wait_s;
-          m.reliable_pool = false;
+          Machine m = make_machine(
+              g, pi, grid_groups_[gi].group_in_pool,
+              pools[pi].pool.total_machines() + extra_in_pool[pi]++, gi);
           m.spare = true;
-          draw_host(m);
-          if (g.trace != nullptr) {
-            m.spans = &g.trace->machine((g.count + i) %
-                                        g.trace->machine_count());
-          }
           const double flash_end =
               chaos_->flash_start_s + chaos_->flash_duration_s;
           if (chaos_->flash_start_s > 0.0) {
@@ -614,9 +598,7 @@ class Run {
   void schedule_down(std::size_t m) {
     auto& machine = machines_[m];
     EXPERT_CHECK(machine.up, "scheduling down for a down machine");
-    const stats::AvailabilityModel model{machine.mean_up, machine.mean_down,
-                                         machine.up_shape};
-    machine.next_down = engine_.now() + model.sample_up(rng_);
+    machine.next_down = engine_.now() + machine.availability().sample_up(rng_);
     engine_.schedule_at(machine.next_down,
                         guarded(m, [this, m] { on_down(m); }));
   }
@@ -628,19 +610,13 @@ class Run {
     // Any running instance dies silently.
     set_state(m, /*up=*/false, /*busy=*/false);
     machine.next_down = kInf;
-    if (machine.spans != nullptr) {
-      arm_trace_transition(m);
-      return;
-    }
     if (killed_instance && cfg_.exclusion_threshold > 0 &&
         ++machine.kills >= cfg_.exclusion_threshold) {
       // Resource exclusion: the overlay blacklists the flaky host and
       // requests a replacement from the same pool.
       draw_host(machine);
     }
-    const stats::AvailabilityModel model{machine.mean_up, machine.mean_down,
-                                         machine.up_shape};
-    engine_.schedule_in(model.sample_down(rng_),
+    engine_.schedule_in(machine.availability().sample_down(rng_),
                         guarded(m, [this, m] { on_up(m); }));
   }
 
@@ -684,23 +660,14 @@ class Run {
   }
 
   /// End of a forced-down window: arm the next window's start, then
-  /// restart the machine's availability process from scratch (trace
-  /// replay re-arms from the current time).
+  /// restart the machine's availability process from scratch.
   void force_up(std::size_t m) {
     auto& machine = machines_[m];
     ++machine.avail_epoch;
     if (const auto* next = window_after(machine, engine_.now())) {
       arm_force_down(m, *next);
     }
-    if (machine.spans != nullptr) {
-      set_state(m, /*up=*/false, machine.busy);
-      arm_trace_transition(m);
-      return;
-    }
-    set_state(m, /*up=*/true, machine.busy);
-    ++obs_up_;
-    schedule_down(m);
-    policy_.dispatch();
+    on_up(m);
   }
 
   /// Next forced-down transition of a machine: its time (at or after
@@ -715,39 +682,6 @@ class Run {
     const chaos::ForcedWindow* w = window_after(machine, now);
     if (w == nullptr) return ForcedNext{};
     return ForcedNext{w->start <= now ? now : w->start, w->cause};
-  }
-
-  /// Trace replay: arm the next transition of a currently-down machine —
-  /// either come up now (inside a span) or wake at the next span's start.
-  void arm_trace_transition(std::size_t m) {
-    auto& machine = machines_[m];
-    const auto& spans = *machine.spans;
-    const double now = engine_.now();
-    while (machine.next_span < spans.size() &&
-           spans[machine.next_span].end <= now) {
-      ++machine.next_span;
-    }
-    if (machine.next_span >= spans.size()) return;  // host never returns
-    const UpInterval& span = spans[machine.next_span];
-    ++machine.next_span;
-    if (span.start <= now) {
-      set_state(m, /*up=*/true, machine.busy);
-      ++obs_up_;
-      machine.next_down = span.end;
-      engine_.schedule_at(span.end, guarded(m, [this, m] { on_down(m); }));
-      policy_.dispatch();
-    } else {
-      engine_.schedule_at(span.start, guarded(m, [this, m, span] {
-                            auto& mach = machines_[m];
-                            set_state(m, /*up=*/true, mach.busy);
-                            ++obs_up_;
-                            mach.next_down = span.end;
-                            engine_.schedule_at(
-                                span.end,
-                                guarded(m, [this, m] { on_down(m); }));
-                            policy_.dispatch();
-                          }));
-    }
   }
 
   // ---- machine state and the idle index ----
@@ -820,10 +754,9 @@ class Run {
     // Remote batch-queue latency precedes execution; a host death during
     // the wait kills the instance like any mid-run death. Only CPU time is
     // charged.
+    const double mean_wait = machine.group->mean_queue_wait_s;
     const double wait =
-        machine.mean_queue_wait > 0.0
-            ? rng_.exponential(1.0 / machine.mean_queue_wait)
-            : 0.0;
+        mean_wait > 0.0 ? rng_.exponential(1.0 / mean_wait) : 0.0;
     const double t_complete = now + wait + runtime;
     // Reliable (N+1)-th instances run without a deadline (paper §III);
     // unreliable instances are killed at the phase deadline.
@@ -872,7 +805,7 @@ class Run {
                                   ? cause_of(forced.cause)
                                   : FailCause::Host;
       const bool reported =
-          reliable || rng_.bernoulli(machine.failure_notice_prob);
+          reliable || rng_.bernoulli(machine.group->failure_notice_prob);
       const double notify =
           reported ? down_at : (t_kill == kInf ? down_at : t_kill);
       engine_.schedule_at(notify, [this, task, machine_idx, now, cause] {
@@ -890,11 +823,12 @@ class Run {
   /// The price an instance dispatched now on this machine will pay: the
   /// group's static price, or the market rate at send time on a spot pool.
   PriceSpec effective_price(const Machine& machine, double now) {
-    if (machine.stream == kNoStream) return machine.price;
+    const PriceSpec& price = machine.group->price;
+    if (machine.stream == kNoStream) return price;
     auto* market =
         std::get_if<env::SpotMarketStream>(&streams_[machine.stream].windows);
-    if (market == nullptr) return machine.price;
-    return PriceSpec{market->rate_at(now), machine.price.period_s};
+    if (market == nullptr) return price;
+    return PriceSpec{market->rate_at(now), price.period_s};
   }
 
   /// A reliable-pool launch attempt failed. Bounded retry with exponential
@@ -984,9 +918,10 @@ class Run {
     double rate = kInf;
     double period = 1.0;
     for (const auto& m : machines_) {
-      if (m.reliable_pool && m.price.rate_cents_per_s < rate) {
-        rate = m.price.rate_cents_per_s;
-        period = m.price.period_s;
+      const PriceSpec& price = m.group->price;
+      if (m.reliable_pool && price.rate_cents_per_s < rate) {
+        rate = price.rate_cents_per_s;
+        period = price.period_s;
       }
     }
     return rate == kInf

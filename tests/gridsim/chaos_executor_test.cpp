@@ -212,6 +212,33 @@ TEST(ChaosExecutor, PoolShrinkSlowsTheRunDown) {
   }
 }
 
+TEST(ChaosExecutor, DeadGridFallsBackToReliableInTail) {
+  // A shrink withdraws the whole grid for good at t = 3000 while every task
+  // needs >= 3500 s of CPU: all unreliable instances are lost, and the BoT
+  // (small enough that the tail starts immediately) completes via the
+  // reliable (N+1)-th instances only.
+  auto grid = make_wm(5, 0.9, 4000.0);
+  grid.groups[0].speed_cv = 0.0;
+  ExecutorConfig cfg;
+  cfg.environment = env::Environment::classic(grid, make_tech(5));
+  cfg.seed = 5;
+  chaos::ChaosConfig plan;
+  plan.shrink_fraction = 1.0;
+  plan.shrink_start_s = 3000.0;
+  plan.shrink_duration_s = 1.0e9;
+  cfg.chaos = plan;
+  Executor ex(cfg);
+  const auto bot =
+      workload::make_synthetic_bot("t", 4, 4200.0, 3500.0, 6000.0, 3);
+  const auto result =
+      ex.run(bot, make_ntdmr_strategy(tail_params(1, 4000.0, 8000.0, 1.0)));
+  EXPECT_DOUBLE_EQ(result.average_reliability(), 0.0);
+  EXPECT_EQ(result.reliable_instances_sent(), bot.size());
+  for (workload::TaskId t = 0; t < bot.size(); ++t) {
+    EXPECT_TRUE(result.task_completion_time(t).has_value()) << "task " << t;
+  }
+}
+
 TEST(ChaosExecutor, FlashCrowdAddsCapacity) {
   const auto bot = small_bot(80);
   const auto strategy =
