@@ -41,7 +41,6 @@ class Engine {
     EventHandle() = default;
     /// Cancel the event if it has not fired; no-op otherwise.
     void cancel();
-    bool pending() const;
 
    private:
     friend class Engine;
@@ -71,17 +70,10 @@ class Engine {
   SimTime run();
   /// Run events with time <= horizon; clock ends at min(horizon, last event).
   SimTime run_until(SimTime horizon);
-  /// Process at most `count` events (diagnostics / incremental stepping).
-  /// Returns the number actually processed.
-  std::size_t run_some(std::size_t count);
   /// Request the current run() / run_until() to return after the in-flight
   /// event finishes. Used to end a simulation at BoT completion without
   /// draining background processes (e.g. machine availability churn).
   void stop() noexcept { stop_requested_ = true; }
-
-  bool empty() const;
-  std::size_t scheduled_events() const noexcept { return live_events_; }
-  std::uint64_t processed_events() const noexcept { return processed_; }
 
  private:
   struct EventHandle::Node {
@@ -109,10 +101,8 @@ class Engine {
   SimTime now_ = 0.0;
   bool stop_requested_ = false;
   std::uint64_t next_seq_ = kAheadKeys;  ///< ordinary events sort after keys
-  std::uint64_t processed_ = 0;
-  std::size_t live_events_ = 0;
 
-  /// Deltas since run_until/run_some last returned; plain members so the
+  /// Deltas since run_until last returned; plain members so the
   /// per-event cost of instrumentation is a few register increments.
   QueueStats stats_;
 };

@@ -48,10 +48,6 @@ void Engine::EventHandle::cancel() {
   }
 }
 
-bool Engine::EventHandle::pending() const {
-  return node_ && !node_->cancelled && node_->fn != nullptr;
-}
-
 Engine::EventHandle Engine::schedule_at(SimTime at, std::function<void()> fn) {
   return push(at, next_seq_++, std::move(fn));
 }
@@ -71,7 +67,6 @@ Engine::EventHandle Engine::push(SimTime at, std::uint64_t seq,
   node->seq = seq;
   node->fn = std::move(fn);
   heap_.push(node);
-  ++live_events_;
   ++stats_.scheduled;
   stats_.max_depth = std::max(stats_.max_depth, heap_.size());
   return EventHandle(std::move(node));
@@ -86,7 +81,6 @@ Engine::EventHandle Engine::schedule_in(SimTime delay,
 const Engine::EventHandle::Node* Engine::next_live() {
   while (!heap_.empty() && heap_.top()->cancelled) {
     heap_.pop();
-    --live_events_;
     ++stats_.cancelled;
   }
   return heap_.empty() ? nullptr : heap_.top().get();
@@ -95,12 +89,10 @@ const Engine::EventHandle::Node* Engine::next_live() {
 void Engine::fire_next() {
   NodePtr node = heap_.top();
   heap_.pop();
-  --live_events_;
   EXPERT_CHECK(node->time + 1e-9 >= now_, "event time went backwards");
   now_ = node->time;
   auto fn = std::move(node->fn);
   node->fn = nullptr;
-  ++processed_;
   ++stats_.fired;
   fn();
 }
@@ -125,14 +117,5 @@ SimTime Engine::run_until(SimTime horizon) {
   stats_.flush();
   return now_;
 }
-
-std::size_t Engine::run_some(std::size_t count) {
-  std::size_t done = 0;
-  for (; done < count && next_live(); ++done) fire_next();
-  stats_.flush();
-  return done;
-}
-
-bool Engine::empty() const { return live_events_ == 0; }
 
 }  // namespace expert::sim
