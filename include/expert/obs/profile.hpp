@@ -59,7 +59,10 @@ class PhaseProfiler {
 
   /// Process-wide profiler used by EXPERT_PHASE. Starts disabled; the
   /// CLI's `profile` subcommand and --profile flag enable it.
-  static PhaseProfiler& global();
+  static PhaseProfiler& global() {
+    static PhaseProfiler profiler;
+    return profiler;
+  }
 
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -102,17 +105,25 @@ class PhaseProfiler {
 /// charges the elapsed time to the parent and suspends its clock; exiting
 /// resumes it. Captures the profiler's enabled state at construction, like
 /// Span. Scopes are strictly stack-ordered per thread (guaranteed by RAII)
-/// and must not be moved across threads.
+/// and must not be moved across threads. Disabled, a scope is two inline
+/// checks; the clock and the scope stack are reached only while profiling.
 class PhaseScope {
  public:
   explicit PhaseScope(Phase phase)
       : PhaseScope(phase, PhaseProfiler::global()) {}
-  PhaseScope(Phase phase, PhaseProfiler& profiler);
-  ~PhaseScope();
+  PhaseScope(Phase phase, PhaseProfiler& profiler) : phase_(phase) {
+    if (profiler.enabled()) start(profiler);
+  }
+  ~PhaseScope() {
+    if (profiler_ != nullptr) finish();
+  }
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
+  void start(PhaseProfiler& profiler);
+  void finish();
+
   PhaseProfiler* profiler_ = nullptr;  ///< null when constructed disabled
   PhaseScope* parent_ = nullptr;
   Phase phase_ = Phase::TaskTimeDraw;

@@ -53,11 +53,6 @@ PhaseProfiler::PhaseProfiler()
 
 PhaseProfiler::~PhaseProfiler() = default;
 
-PhaseProfiler& PhaseProfiler::global() {
-  static PhaseProfiler profiler;
-  return profiler;
-}
-
 std::uint64_t PhaseProfiler::now_ns() const {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -146,8 +141,7 @@ void PhaseProfiler::publish(Registry& registry) const {
 
 // ---- scope ----
 
-PhaseScope::PhaseScope(Phase phase, PhaseProfiler& profiler) : phase_(phase) {
-  if (!profiler.enabled()) return;
+void PhaseScope::start(PhaseProfiler& profiler) {
   profiler_ = &profiler;
   const std::uint64_t now = profiler.now_ns();
   parent_ = tls_current_scope;
@@ -159,8 +153,7 @@ PhaseScope::PhaseScope(Phase phase, PhaseProfiler& profiler) : phase_(phase) {
   resumed_ns_ = now;
 }
 
-PhaseScope::~PhaseScope() {
-  if (profiler_ == nullptr) return;
+void PhaseScope::finish() {
   const std::uint64_t now = profiler_->now_ns();
   self_ns_ += now - resumed_ns_;
   profiler_->record(phase_, self_ns_);
