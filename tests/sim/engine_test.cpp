@@ -138,6 +138,21 @@ TEST(Engine, CancelledEventsAreSkippedNotCounted) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Engine, CancelOfAFiredEventSparesItsSlotsNextEvent) {
+  // B is scheduled after A fired, so it may take the storage A used; A's
+  // handle must still name only A.
+  Engine engine;
+  int fired_a = 0;
+  int fired_b = 0;
+  auto a = engine.schedule_at(1.0, [&] { ++fired_a; });
+  engine.run();
+  engine.schedule_at(2.0, [&] { ++fired_b; });
+  a.cancel();
+  engine.run();
+  EXPECT_EQ(fired_a, 1);
+  EXPECT_EQ(fired_b, 1);
+}
+
 // ---------------------------------------------------------------------------
 // schedule_ahead_at: events that fire before every ordinary event of their
 // time, in key order.
