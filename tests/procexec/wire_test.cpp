@@ -118,17 +118,25 @@ TEST(Wire, NoSingleByteMutationDecodesOk) {
   // Every mutation must decode Corrupt or NeedMore — never Ok — because
   // each header byte is structurally validated and type+payload are
   // checksummed (a length mutation shifts the checksummed window).
-  const std::string pristine =
-      encode_frame(FrameType::Request, "the quick brown fox");
-  util::Rng rng(0xF22);
-  for (int round = 0; round < 500; ++round) {
-    std::string mutated = pristine;
-    const std::size_t at = rng.below(mutated.size());
-    const auto flip = static_cast<char>(1 + rng.below(255));
-    mutated[at] = static_cast<char>(mutated[at] ^ flip);
-    const DecodeResult decoded = decode_frame(mutated);
-    EXPECT_NE(decoded.status, DecodeStatus::Ok)
-        << "mutation at byte " << at << " survived decoding";
+  // The long payload spans whole 32-byte checksum blocks and a tail.
+  std::string long_payload;
+  for (int i = 0; i < 150; ++i) {
+    long_payload.push_back(static_cast<char>('!' + (i * 7) % 90));
+  }
+  for (const std::string& payload :
+       {std::string("the quick brown fox"), long_payload}) {
+    const std::string pristine = encode_frame(FrameType::Request, payload);
+    util::Rng rng(0xF22);
+    for (int round = 0; round < 500; ++round) {
+      std::string mutated = pristine;
+      const std::size_t at = rng.below(mutated.size());
+      const auto flip = static_cast<char>(1 + rng.below(255));
+      mutated[at] = static_cast<char>(mutated[at] ^ flip);
+      const DecodeResult decoded = decode_frame(mutated);
+      EXPECT_NE(decoded.status, DecodeStatus::Ok)
+          << "mutation at byte " << at << " of a " << payload.size()
+          << "-byte payload survived decoding";
+    }
   }
 }
 
