@@ -327,7 +327,8 @@ trace::ExecutionTrace ProcessPool::run_on_slot(
     local = std::move(slots_[index].buffer);
   }
 
-  char chunk[4096];
+  // A ~90 KB response frame arrives in two reads rather than ~23.
+  char chunk[64 << 10];
   for (;;) {
     while (!local.empty()) {
       const DecodeResult decoded = decode_frame(local);

@@ -122,7 +122,8 @@ int worker_main(const WorkerHandler& handler, const WorkerOptions& options,
   util::Mutex write_mutex;
   HeartbeatPump pump(channel_fd, write_mutex, options.heartbeat_interval_s);
   std::string buffer;
-  char chunk[4096];
+  // A ~90 KB response frame arrives in two reads rather than ~23.
+  char chunk[64 << 10];
 
   for (;;) {
     // Drain every complete frame already buffered before reading more.
