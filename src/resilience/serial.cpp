@@ -41,7 +41,7 @@ void append_double(std::string& out, double value) {
   const std::uint64_t biased = (bits & ~kSignBit) >> kFractionBits;
   std::uint64_t fraction = bits & kFractionMask;
   if (biased == kInfExponent) {
-    out.append(buf, p).append("inf");
+    out.append(buf, static_cast<std::size_t>(p - buf)).append("inf");
     return;
   }
   // glibc's "%a": a leading 1 for normal values, 0 with exponent -1022 for

@@ -196,8 +196,7 @@ TEST(CodecStrict, RequestRejectsLooseSeparators) {
 TEST(CodecStrict, NamesHoldingEveryByteRoundTrip) {
   const std::vector<workload::Task> tasks = {{0, 1.5}, {1, 2066.0}};
   for (int byte = 1; byte < 256; ++byte) {
-    const std::string name =
-        "a" + std::string(1, static_cast<char>(byte)) + "b";
+    const std::string name{'a', static_cast<char>(byte), 'b'};
     strategies::StrategyConfig strategy = codec_corpus::corpus_strategy();
     strategy.name = name;
     const workload::Bot bot(name, tasks);

@@ -105,8 +105,7 @@ TEST(SerialStrict, EscapeCoversEveryByteADecoderSplitsOn) {
   EXPECT_EQ(escape("a%b,c d\te\nf\vg\fh\ri"),
             "a%25b%2Cc%20d%09e%0Af%0Bg%0Ch%0Di");
   for (int byte = 1; byte < 256; ++byte) {
-    const std::string text = "<" + std::string(1, static_cast<char>(byte)) +
-                             ">";
+    const std::string text{'<', static_cast<char>(byte), '>'};
     const std::string escaped = escape(text);
     EXPECT_EQ(escaped.find_first_of(", \t\n\v\f\r"), std::string::npos)
         << "byte " << byte;

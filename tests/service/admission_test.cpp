@@ -125,7 +125,8 @@ TEST(Admission, OverloadShedsDeterministicallyWithCounters) {
     CampaignService svc(std::move(options));
     for (std::size_t i = 0; i < 1000; ++i) {
       const auto result = svc.submit(
-          small_spec("t" + std::to_string(i), 1, i + 1));
+          small_spec(std::string("t").append(std::to_string(i)), 1,
+                     i + 1));
       if (i < 4) {
         EXPECT_TRUE(result.admitted);
       } else {

@@ -25,7 +25,8 @@ constexpr std::size_t kTenants = 8;
 constexpr const char* kTarget = "t3";
 
 TenantSpec tenant_spec(std::size_t i) {
-  TenantSpec spec = small_spec("t" + std::to_string(i), 2, 100 + i);
+  TenantSpec spec =
+      small_spec(std::string("t").append(std::to_string(i)), 2, 100 + i);
   if (spec.id == kTarget) spec.drift = true;  // armed detector, target only
   return spec;
 }

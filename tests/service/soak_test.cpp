@@ -46,7 +46,8 @@ chaos::ChaosConfig soak_plan(std::uint64_t seed) {
 }
 
 TenantSpec soak_spec(std::size_t i) {
-  TenantSpec spec = small_spec("t" + std::to_string(i), 2, 300 + i);
+  TenantSpec spec =
+      small_spec(std::string("t").append(std::to_string(i)), 2, 300 + i);
   if (i == 2) {
     // One tenant carries a byte budget even the journal header exceeds;
     // journal growth is deterministic, so the trip point is too.
@@ -93,7 +94,7 @@ SoakOutcome run_soak(const std::string& state_dir) {
   out.stats = svc.stats();
   out.status = svc.status();
   for (std::size_t i = 0; i < kAdmitted; ++i) {
-    const std::string id = "t" + std::to_string(i);
+    const std::string id = std::string("t").append(std::to_string(i));
     out.reports.push_back(svc.reports(id));
     out.journals.push_back(read_file(state_dir + "/" + id + ".journal"));
   }

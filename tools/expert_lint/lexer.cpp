@@ -105,8 +105,8 @@ LexResult lex(std::string_view source) {
     if (c == 'R' && i + 1 < n && source[i + 1] == '"') {
       std::size_t j = i + 2;
       while (j < n && source[j] != '(') ++j;
-      const std::string delim =
-          ")" + std::string(source.substr(i + 2, j - i - 2)) + "\"";
+      std::string delim(")");
+      delim.append(source.substr(i + 2, j - i - 2)).push_back('"');
       const std::size_t close = source.find(delim, j);
       const std::size_t end =
           (close == std::string_view::npos) ? n : close + delim.size();
