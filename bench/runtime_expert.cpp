@@ -7,12 +7,15 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "expert/core/expert.hpp"
 #include "expert/gridsim/env/environment.hpp"
 #include "expert/gridsim/executor.hpp"
 #include "expert/procexec/codec.hpp"
+#include "expert/procexec/wire.hpp"
+#include "expert/sim/engine.hpp"
 #include "expert/util/rng.hpp"
 #include "expert/workload/presets.hpp"
 
@@ -281,6 +284,60 @@ void BM_RequestCodec_decode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RequestCodec_decode)->Name("BM_RequestCodec/decode");
+
+/// The XPF1 checksum over the `execute` response, which a worker computes
+/// to encode the frame and the parent again to decode it.
+void BM_FrameChecksum(benchmark::State& state) {
+  const auto& p = codec_payloads();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        procexec::frame_checksum(procexec::FrameType::Response, p.response));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.response.size()));
+}
+BENCHMARK(BM_FrameChecksum);
+
+/// Engine layer, per event: a fresh engine schedules events at random
+/// times, then runs them all (perfbench's `sim.event_ns` probe shape).
+void BM_EngineScheduleFire(benchmark::State& state) {
+  const auto events = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(bench::kSeed);
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < events; ++i) {
+      engine.schedule_at(rng.uniform(0.0, 1e6), [&fired] { ++fired; });
+    }
+    engine.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EngineScheduleFire)->Arg(20'000);
+
+/// As BM_EngineScheduleFire, but every event is cancelled through its
+/// handle before the run, which pops each one and skips it.
+void BM_EngineScheduleCancel(benchmark::State& state) {
+  const auto events = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(bench::kSeed);
+  std::vector<sim::Engine::EventHandle> handles;
+  handles.reserve(events);
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < events; ++i) {
+      handles.push_back(
+          engine.schedule_at(rng.uniform(0.0, 1e6), [&fired] { ++fired; }));
+    }
+    for (auto& handle : handles) handle.cancel();
+    engine.run();
+    handles.clear();  // a handle must not outlive its engine
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EngineScheduleCancel)->Arg(20'000);
 
 }  // namespace
 
