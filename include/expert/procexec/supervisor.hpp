@@ -56,8 +56,9 @@ struct SupervisorOptions {
   std::vector<std::string> worker_args;
   /// Kill a worker that produces no frame for this long mid-request.
   double heartbeat_timeout_s = 5.0;
-  /// Wall-clock cap per request; 0 disables. On expiry the worker is
-  /// SIGKILLed and the attempt fails as DeadlineExceeded.
+  /// Wall-clock cap per request (`expert_cli execute --backend-timeout`);
+  /// 0 disables. On expiry the worker is SIGKILLed and the attempt fails
+  /// as DeadlineExceeded.
   double bot_deadline_s = 0.0;
   /// On shutdown, how long to wait for a worker to exit after its channel
   /// closes before escalating to SIGKILL.
@@ -71,7 +72,8 @@ struct SupervisorOptions {
 /// matrix asserts. Thread-safe: concurrent run() calls occupy distinct
 /// slots and block when all slots are busy. The pool outlives every run()
 /// it started: the destructor kills the workers of runs still in flight
-/// (a watchdog may have abandoned them) and waits until each returned.
+/// (a caller thread may still be inside run()) and waits until each
+/// returned.
 class ProcessPool {
  public:
   explicit ProcessPool(SupervisorOptions options);
@@ -91,12 +93,6 @@ class ProcessPool {
   /// pool. The pool must outlive the campaign using it.
   WorkerHandler backend();
 
-  /// SIGKILL every worker currently evaluating a request. Wired into
-  /// resilience::WatchdogOptions::on_timeout so a BackendTimeout actually
-  /// terminates the runaway process instead of stranding it behind an
-  /// abandoned thread.
-  void kill_inflight();
-
   struct Stats {
     std::uint64_t spawned = 0;   ///< workers forked over the pool's lifetime
     std::uint64_t reaped = 0;    ///< pids collected via waitpid
@@ -110,9 +106,9 @@ class ProcessPool {
  private:
   /// One worker slot. `busy` hands a slot to exactly one run() call at a
   /// time; while busy, `buffer` belongs to that call alone. `pid`/`fd` are
-  /// mutated only under `mutex_` so kill_inflight() and worker_pids()
-  /// always see either a live worker or -1, never a reaped pid
-  /// (kill-after-reuse is the race that matters — pids recycle).
+  /// mutated only under `mutex_` so drain() and worker_pids() always see
+  /// either a live worker or -1, never a reaped pid (kill-after-reuse is
+  /// the race that matters — pids recycle).
   struct Slot {
     int pid = -1;
     int fd = -1;

@@ -110,8 +110,8 @@ class CondVar {
   /// Timed wait: like wait(), but gives up after `seconds` of wall-clock
   /// time. Returns false on timeout, true when notified (or woken
   /// spuriously) — re-check the condition either way. Only wall-clock
-  /// consumers (the resilience backend watchdog) use this; simulated time
-  /// never flows through it.
+  /// consumers (the process pool's drain and the worker's heartbeat pump)
+  /// use this; simulated time never flows through it.
   bool wait_for(Mutex& mutex, double seconds) EXPERT_REQUIRES(mutex) {
     return cond_.wait_for(mutex, std::chrono::duration<double>(seconds)) ==
            std::cv_status::no_timeout;

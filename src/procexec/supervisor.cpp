@@ -481,15 +481,6 @@ WorkerHandler ProcessPool::backend() {
                 std::uint64_t stream) { return run(bot, strategy, stream); };
 }
 
-void ProcessPool::kill_inflight() {
-  util::MutexLock lock(mutex_);
-  for (const Slot& slot : slots_) {
-    if (slot.busy && slot.pid != -1) {
-      ::kill(static_cast<::pid_t>(slot.pid), SIGKILL);
-    }
-  }
-}
-
 ProcessPool::Stats ProcessPool::stats() const {
   util::MutexLock lock(mutex_);
   return stats_;

@@ -1,7 +1,8 @@
 // ProcessPool supervision tests against a real worker binary
 // (procexec_test_worker): failure classification for every way a worker
-// can die, the SIGKILL kill matrix, heartbeat-gap detection, watchdog
-// cancellation, and the no-orphans invariant (every spawned pid reaped).
+// can die, the SIGKILL kill matrix, heartbeat-gap detection, the per-BoT
+// deadline (alone and under a campaign), the destructor's kill of a run in
+// flight, and the no-orphans invariant (every spawned pid reaped).
 
 #include "expert/procexec/supervisor.hpp"
 
@@ -16,22 +17,28 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "expert/core/campaign.hpp"
+#include "expert/obs/metrics.hpp"
 #include "expert/procexec/codec.hpp"
 #include "expert/procexec/wire.hpp"
 #include "expert/procexec/worker.hpp"
-#include "expert/resilience/watchdog.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/workload/presets.hpp"
 
 namespace expert::procexec {
 namespace {
 
-workload::Bot bot() {
-  return workload::make_synthetic_bot("sup-bot", 40, 1000.0, 400.0, 2500.0, 9);
+/// Built once: synthesis fits a truncated lognormal by Monte-Carlo
+/// bisection, which must not run inside a timed window.
+const workload::Bot& bot() {
+  static const workload::Bot the_bot =
+      workload::make_synthetic_bot("sup-bot", 40, 1000.0, 400.0, 2500.0, 9);
+  return the_bot;
 }
 
 strategies::StrategyConfig strategy() {
@@ -235,6 +242,7 @@ TEST(WorkerMain, HeartbeatsFlowOnlyWhileAHandlerRuns) {
 
 TEST(ProcessPool, HeartbeatGapIsDetectedAndWorkerKilled) {
   ProcessPool pool(options({"silent"}, /*heartbeat_timeout_s=*/0.3));
+  bot();  // synthesize outside the timed window
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(run_expecting_failure(pool, 1), FailureKind::HeartbeatTimeout);
   const double elapsed =
@@ -247,11 +255,54 @@ TEST(ProcessPool, HeartbeatGapIsDetectedAndWorkerKilled) {
 }
 
 TEST(ProcessPool, BotDeadlineKillsARunawayWorker) {
-  auto opts = options({"slow"}, /*heartbeat_timeout_s=*/5.0);
-  opts.bot_deadline_s = 0.2;  // slow worker needs ~600 ms
+  // A worker that heartbeats but answers too late, and one that never
+  // answers at all: the heartbeat budget outlasts both, so the deadline
+  // alone must kill and reap them.
+  for (const char* mode : {"slow", "silent"}) {
+    auto opts = options({mode}, /*heartbeat_timeout_s=*/30.0);
+    opts.bot_deadline_s = 0.2;  // slow worker needs ~600 ms
+    ProcessPool pool(std::move(opts));
+    EXPECT_EQ(run_expecting_failure(pool, 1), FailureKind::DeadlineExceeded)
+        << mode;
+    EXPECT_TRUE(pool.worker_pids().empty()) << mode;
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.reaped, stats.spawned) << mode;
+  }
+}
+
+std::uint64_t timeout_attempts() {
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  const obs::CounterSnapshot* series = snapshot.counter(
+      "core.backend.attempts", obs::Labels{{"outcome", "timeout"}});
+  return series == nullptr ? 0 : series->value;
+}
+
+TEST(ProcessPool, CampaignQuarantinesAWorkerPastItsDeadline) {
+  // A worker past its deadline is a failed attempt: the campaign retries
+  // on a fresh stream and quarantines the BoT once every attempt ran out
+  // of time, and each attempt counts as a timeout.
+  auto opts = options({"silent"}, /*heartbeat_timeout_s=*/30.0);
+  opts.bot_deadline_s = 0.05;
   ProcessPool pool(std::move(opts));
-  EXPECT_EQ(run_expecting_failure(pool, 1), FailureKind::DeadlineExceeded);
-  EXPECT_TRUE(pool.worker_pids().empty());
+  core::Campaign::Options copts;
+  copts.params.tur = 1000.0;
+  copts.params.tr = 1000.0;
+  copts.max_backend_retries = 1;
+  core::Campaign campaign(pool.backend(), copts);
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const std::uint64_t before = timeout_attempts();
+  const auto report = campaign.run_bot(bot(), core::Utility::cheapest());
+  const std::uint64_t timeouts = timeout_attempts() - before;
+  reg.set_enabled(was_enabled);
+
+  EXPECT_EQ(report.outcome, core::Campaign::BotOutcome::Quarantined);
+  EXPECT_EQ(report.retries, 2u);
+  ASSERT_TRUE(report.degradation.has_value());
+  EXPECT_EQ(*report.degradation, core::DegradationReason::BackendFailure);
+  EXPECT_EQ(timeouts, report.retries);
 }
 
 TEST(ProcessPool, NonzeroExitIsClassifiedWithItsStatus) {
@@ -329,30 +380,35 @@ TEST(ProcessPool, ConcurrentRunsShareTheSlotPool) {
   EXPECT_LE(pool.stats().spawned, 2u);  // never more processes than slots
 }
 
-TEST(ProcessPool, NoChildOutlivesABackendTimeout) {
-  // The satellite contract: with the watchdog's on_timeout wired to
-  // kill_inflight, a BackendTimeout leaves no worker behind — the SIGKILL
-  // unblocks the abandoned thread via EOF and the child is reaped.
-  ProcessPool pool(options({"silent"}, /*heartbeat_timeout_s=*/30.0));
-  resilience::WatchdogOptions wopts;
-  wopts.timeout_s = 0.3;
-  wopts.on_timeout = [&pool] { pool.kill_inflight(); };
-  auto backend = resilience::with_watchdog(pool.backend(), wopts);
+TEST(ProcessPool, DestructorKillsARunStillInFlight) {
+  // A caller thread is still inside run() when the pool is destroyed: the
+  // destructor must SIGKILL that run's worker, wait for the run to leave
+  // the pool, and reap the worker.
+  auto pool = std::make_unique<ProcessPool>(
+      options({"silent"}, /*heartbeat_timeout_s=*/30.0));
+  FailureKind kind = FailureKind::CleanExit;
+  std::thread caller(
+      [p = pool.get(), &kind] { kind = run_expecting_failure(*p, 1); });
 
-  EXPECT_THROW(backend(bot(), strategy(), 1), resilience::BackendTimeout);
-
-  // The abandoned thread finishes asynchronously; give it a grace window.
-  const auto deadline =
+  int pid = -1;
+  const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto stats = pool.stats();
-    if (pool.worker_pids().empty() && stats.reaped == stats.spawned) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  while (pid == -1 && std::chrono::steady_clock::now() < give_up) {
+    const std::vector<int> pids = pool->worker_pids();
+    if (!pids.empty()) {
+      pid = pids.front();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
-  const auto stats = pool.stats();
-  EXPECT_TRUE(pool.worker_pids().empty());
-  EXPECT_EQ(stats.spawned, 1u);
-  EXPECT_EQ(stats.reaped, 1u);
+  EXPECT_NE(pid, -1) << "the run never spawned its worker";
+
+  pool.reset();
+  caller.join();
+  EXPECT_EQ(kind, FailureKind::KilledBySignal);
+  if (pid != -1) {
+    EXPECT_FALSE(pid_alive(pid));
+  }
 }
 
 }  // namespace

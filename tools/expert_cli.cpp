@@ -33,10 +33,12 @@
 //     --journal FILE journals every finished BoT; --resume continues a
 //     killed campaign from that journal, reproducing the uninterrupted
 //     run's remaining BoTs exactly. --drift enables the online drift
-//     detector; --backend-timeout S arms a wall-clock watchdog per backend
-//     invocation. --backend process runs each BoT evaluation in a
+//     detector. --backend process runs each BoT evaluation in a
 //     supervised worker subprocess (--workers N slots; see
 //     docs/process-backend.md); deterministic output is unchanged.
+//     --backend-timeout S (process backend only) is the supervisor's
+//     per-BoT deadline: a worker still running after S seconds is killed
+//     and the attempt fails into the campaign's retry path.
 //
 //   expert_cli serve --feed FILE|- [--state-dir DIR] [--resume] ...
 //     Run the multi-tenant campaign service against a line-oriented feed
@@ -79,7 +81,6 @@
 #include "expert/resilience/drift.hpp"
 #include "expert/resilience/journal.hpp"
 #include "expert/resilience/serial.hpp"
-#include "expert/resilience/watchdog.hpp"
 #include "expert/service/service.hpp"
 #include "expert/gridsim/env/environment.hpp"
 #include "expert/gridsim/scenarios.hpp"
@@ -476,13 +477,15 @@ struct BackendOptions {
 
   bool process() const { return !worker_program.empty(); }
 
-  /// A supervised pool of `workers` worker processes run with `worker_args`.
+  /// A supervised pool of `workers` worker processes run with `worker_args`,
+  /// killing a request that runs past `bot_deadline_s` (0 = never).
   std::shared_ptr<procexec::ProcessPool> worker_pool(
-      std::vector<std::string> worker_args) const {
+      std::vector<std::string> worker_args, double bot_deadline_s = 0.0) const {
     procexec::SupervisorOptions popts;
     popts.workers = workers;
     popts.worker_program = worker_program;
     popts.worker_args = std::move(worker_args);
+    popts.bot_deadline_s = bot_deadline_s;
     return std::make_shared<procexec::ProcessPool>(std::move(popts));
   }
 };
@@ -778,6 +781,11 @@ int run_campaign(const util::Args& args, const ExperimentEnvironment& env,
   const auto utility = core::parse_utility(args.option_or("utility", "product"));
 
   const BackendOptions backend_options = parse_backend_options(args);
+  // The supervisor that owns a worker enforces the per-BoT deadline. An
+  // in-process gridsim run cannot be cancelled; its simulation horizon
+  // bounds it instead.
+  EXPERT_REQUIRE(!args.option("backend-timeout") || backend_options.process(),
+                 "--backend-timeout needs --backend process");
   std::shared_ptr<procexec::ProcessPool> pool;
   core::Campaign::Backend backend;
   if (backend_options.process()) {
@@ -790,22 +798,11 @@ int run_campaign(const util::Args& args, const ExperimentEnvironment& env,
         worker_args.push_back(*value);
       }
     }
-    pool = backend_options.worker_pool(std::move(worker_args));
+    pool = backend_options.worker_pool(
+        std::move(worker_args), args.number_or("backend-timeout", 0.0));
     backend = pool->backend();
   } else {
     backend = run_on(executor);
-  }
-  const double backend_timeout = args.number_or("backend-timeout", 0.0);
-  if (backend_timeout > 0.0) {
-    resilience::WatchdogOptions wopts;
-    wopts.timeout_s = backend_timeout;
-    // With the process backend a timeout must *kill* the runaway worker,
-    // not just abandon the thread waiting on it: the SIGKILL unblocks the
-    // abandoned thread via the worker's EOF and the child is reaped.
-    if (pool != nullptr) {
-      wopts.on_timeout = [p = pool.get()] { p->kill_inflight(); };
-    }
-    backend = resilience::with_watchdog(std::move(backend), std::move(wopts));
   }
 
   std::shared_ptr<resilience::DriftDetector> detector;
