@@ -3,7 +3,10 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -68,68 +71,57 @@ std::string record_payload(const Campaign::BotRecord& record) {
   return out;
 }
 
-RecoveredRecord parse_record_payload(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string token;
-  in >> token;
-  EXPERT_REQUIRE(token == "bot", "journal: expected a bot record");
-  RecoveredRecord rec;
-  bool have_stream = false;
-  Campaign::BotReport& r = rec.report;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    EXPERT_REQUIRE(eq != std::string::npos && eq > 0,
-                   "journal: expected key=value, got '" + token + "'");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "next_stream") {
-      // Consumed by parse_record_stream; its presence is still required.
-      ser::parse_u64(value);
-      have_stream = true;
-    } else if (key == "outcome") {
-      r.outcome = ser::outcome_from_string(value);
-    } else if (key == "retries") {
-      r.retries = static_cast<std::size_t>(ser::parse_u64(value));
-    } else if (key == "used_rec") {
-      r.used_recommendation = ser::parse_u64(value) != 0;
-    } else if (key == "truncated") {
-      r.truncated = ser::parse_u64(value) != 0;
-    } else if (key == "makespan") {
-      r.makespan = ser::parse_double(value);
-    } else if (key == "tail_makespan") {
-      r.tail_makespan = ser::parse_double(value);
-    } else if (key == "cost") {
-      r.cost_per_task_cents = ser::parse_double(value);
-    } else if (key == "degradation") {
-      if (value != "-") r.degradation = ser::degradation_from_string(value);
-    } else if (key == "model") {
-      if (value != "-") r.model_digest = ser::parse_u64(value, 16);
-    } else if (key == "strategy") {
-      r.strategy = ser::parse_strategy(value);
-    } else if (key == "predicted") {
-      if (value != "-") r.predicted = ser::parse_point(value);
-    } else if (key == "quality") {
-      if (value != "-") r.quality = ser::parse_quality(value);
-    } else {
-      EXPERT_REQUIRE(key == "history",
-                     "journal: unknown field '" + key + "'");
-      if (value != "-") rec.history = ser::parse_trace(value);
-    }
-  }
-  EXPERT_REQUIRE(have_stream, "journal: record missing next_stream");
-  return rec;
+/// An optional field: "-" when absent, else the bytes before the next
+/// space.
+std::optional<std::string_view> optional_field(ser::Reader& in) {
+  const std::string_view field = in.until(' ');
+  if (field == "-") return std::nullopt;
+  return field;
 }
 
-std::uint64_t parse_record_stream(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string token;
-  while (in >> token) {
-    if (token.rfind("next_stream=", 0) == 0) {
-      return ser::parse_u64(token.substr(std::strlen("next_stream=")));
-    }
+/// Decode one bot record in a single pass, each field in the order
+/// record_payload writes it; `next_stream` receives the campaign's stream
+/// counter after the record.
+RecoveredRecord parse_record_payload(std::string_view payload,
+                                     std::uint64_t& next_stream) {
+  ser::Reader in(payload);
+  EXPERT_REQUIRE(in.consume("bot "), "journal: expected a bot record");
+  in.expect("next_stream=");
+  next_stream = in.u64();
+  RecoveredRecord rec;
+  Campaign::BotReport& r = rec.report;
+  in.expect(" outcome=");
+  r.outcome = ser::outcome_from_string(std::string(in.until(' ')));
+  in.expect(" retries=");
+  r.retries = static_cast<std::size_t>(in.u64());
+  in.expect(" used_rec=");
+  r.used_recommendation = in.flag();
+  in.expect(" truncated=");
+  r.truncated = in.flag();
+  in.expect(" makespan=");
+  r.makespan = in.real();
+  in.expect(" tail_makespan=");
+  r.tail_makespan = in.real();
+  in.expect(" cost=");
+  r.cost_per_task_cents = in.real();
+  in.expect(" degradation=");
+  if (const auto f = optional_field(in)) {
+    r.degradation = ser::degradation_from_string(std::string(*f));
   }
-  EXPERT_REQUIRE(false, "journal: record missing next_stream");
-  return 1;  // unreachable
+  in.expect(" model=");
+  if (const auto f = optional_field(in)) {
+    r.model_digest = ser::parse_u64(*f, 16);
+  }
+  in.expect(" strategy=");
+  r.strategy = ser::parse_strategy(in.until(' '));
+  in.expect(" predicted=");
+  if (const auto f = optional_field(in)) r.predicted = ser::parse_point(*f);
+  in.expect(" quality=");
+  if (const auto f = optional_field(in)) r.quality = ser::parse_quality(*f);
+  in.expect(" history=");
+  if (const auto f = optional_field(in)) rec.history = ser::parse_trace(*f);
+  in.finish();
+  return rec;
 }
 
 std::uint64_t line_checksum(const std::string& payload) {
@@ -337,14 +329,11 @@ Recovered recover_campaign(const std::string& path,
   EXPERT_REQUIRE(header.has_value(),
                  "journal: " + path + " has a corrupt header");
   {
-    std::istringstream hs(*header);
-    std::string magic, version, opts;
-    hs >> magic >> version >> opts;
-    EXPERT_REQUIRE(magic == "hdr" && version == "v1" &&
-                       opts.rfind("options=", 0) == 0,
+    ser::Reader hs(*header);
+    EXPERT_REQUIRE(hs.consume("hdr v1 options="),
                    "journal: " + path + " is not a campaign journal");
-    const std::uint64_t digest =
-        ser::parse_u64(opts.substr(std::strlen("options=")), 16);
+    const std::uint64_t digest = ser::parse_u64(hs.until(' '), 16);
+    hs.finish();
     EXPERT_REQUIRE(digest == expected,
                    "journal: " + path +
                        " was written under different campaign options; "
@@ -365,8 +354,8 @@ Recovered recover_campaign(const std::string& path,
       valid_end = lines[i].offset;
       break;
     }
-    RecoveredRecord rec = parse_record_payload(*payload);
-    out.state.next_stream = parse_record_stream(*payload);
+    RecoveredRecord rec =
+        parse_record_payload(*payload, out.state.next_stream);
     // Mirror Campaign::run_bot's history bookkeeping exactly.
     if (rec.report.outcome == Campaign::BotOutcome::Quarantined) {
       ++out.state.quarantined;
