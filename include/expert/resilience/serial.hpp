@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -47,6 +48,19 @@ std::string fmt_hex16(std::uint64_t value);
 /// Append forms of the formatters, for encoders that build one payload.
 void append_double(std::string& out, double value);
 void append_u64(std::string& out, std::uint64_t value);
+
+/// Longest fmt_double and fmt_u64 outputs: "-0x1.fffffffffffffp+1023" and
+/// 2^64 - 1.
+inline constexpr std::size_t kMaxDoubleChars = 24;
+inline constexpr std::size_t kMaxU64Chars = 20;
+
+/// Cursor forms, the one formatter behind the append and fmt forms: write
+/// the field at `out`, which must have room for kMaxDoubleChars or
+/// kMaxU64Chars bytes, and return the end of what was written. Encoders of
+/// record lists write each record into a stack buffer through these and
+/// append it once.
+char* write_double(char* out, double value);
+char* write_u64(char* out, std::uint64_t value);
 
 double parse_double(std::string_view text);
 /// Parses in the given base; throws util::ContractViolation on trailing

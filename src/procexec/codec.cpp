@@ -22,6 +22,9 @@ namespace ser = resilience::serial;
 namespace {
 /// Typical bytes per "id:cpu;" task entry, to size the payload once.
 constexpr std::size_t kTaskBytesHint = 28;
+/// Longest ";id:cpu" task entry.
+constexpr std::size_t kMaxTaskChars =
+    ser::kMaxU64Chars + ser::kMaxDoubleChars + 2;
 }  // namespace
 
 std::string encode_request(const workload::Bot& bot,
@@ -37,13 +40,16 @@ std::string encode_request(const workload::Bot& bot,
   out += " bot=";
   ser::append_escaped(out, bot.name());
   out += " tasks=";
+  char buf[kMaxTaskChars];
   bool first = true;
   for (const auto& task : bot.tasks()) {
-    if (!first) out += ';';
+    char* p = buf;
+    if (!first) *p++ = ';';
     first = false;
-    ser::append_u64(out, task.id);
-    out += ':';
-    ser::append_double(out, task.cpu_seconds);
+    p = ser::write_u64(p, task.id);
+    *p++ = ':';
+    p = ser::write_double(p, task.cpu_seconds);
+    out.append(buf, p);
   }
   return out;
 }

@@ -87,6 +87,30 @@ TEST(SerialStrict, DoublesAcceptOnlyTheHexfloatsEncodersWrite) {
   }
 }
 
+TEST(SerialStrict, EveryFractionByteOutsideLowercaseHexIsRejected) {
+  // A canonical hexfloat with all 13 fraction digits; substitute every byte
+  // at every fraction position. Exactly [0-9a-f] is accepted, and no '0'
+  // in the last position (a trailing zero).
+  const std::string canonical = "0x1.123456789abcdp+3";
+  const std::size_t first = canonical.find('.') + 1;
+  constexpr std::size_t kDigits = 13;
+  for (std::size_t pos = 0; pos < kDigits; ++pos) {
+    for (int byte = 0; byte < 256; ++byte) {
+      std::string text = canonical;
+      text[first + pos] = static_cast<char>(byte);
+      const bool hex =
+          (byte >= '0' && byte <= '9') || (byte >= 'a' && byte <= 'f');
+      if (hex && !(pos == kDigits - 1 && byte == '0')) {
+        EXPECT_EQ(fmt_double(parse_double(text)), text)
+            << "byte " << byte << " at " << pos;
+      } else {
+        EXPECT_THROW(parse_double(text), ContractViolation)
+            << "byte " << byte << " at " << pos;
+      }
+    }
+  }
+}
+
 TEST(SerialStrict, NaNIsRefusedWhenEncodingAndRejectedWhenDecoding) {
   EXPECT_THROW(fmt_double(std::numeric_limits<double>::quiet_NaN()),
                ContractViolation);
