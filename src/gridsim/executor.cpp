@@ -226,6 +226,10 @@ class Run {
         rng_(util::derive_seed(cfg.seed, stream)),
         checks_(bot.size()),
         dispatch_attempts_(bot.size()) {
+    // A run records 1.3-2.1 instances per task on the reference
+    // environments.
+    records_.reserve(2 * bot.size());
+    pending_slot_.reserve(2 * bot.size());
     if (cfg_.chaos && cfg_.chaos->any()) {
       chaos_ = &*cfg_.chaos;
       chaos_rng_ = chaos::event_rng(*chaos_, stream);
@@ -748,8 +752,10 @@ class Run {
 
     const bool reliable = machine.reliable_pool;
     ++obs_pools_[machine.pool_index].sent;
+    const auto id = static_cast<std::uint32_t>(pending_slot_.size());
+    pending_slot_.push_back(pending_.size());
     pending_.push_back(PendingInstance{
-        task, reliable ? PoolKind::Reliable : PoolKind::Unreliable, now});
+        task, reliable ? PoolKind::Reliable : PoolKind::Unreliable, now, id});
     const double runtime = bot_.task(task).cpu_seconds / machine.speed;
     // Remote batch-queue latency precedes execution; a host death during
     // the wait kills the instance like any mid-run death. Only CPU time is
@@ -780,8 +786,8 @@ class Run {
           policy_.dispatch();
         });
         const double notify = t_kill == kInf ? t_complete : t_kill;
-        engine_.schedule_at(notify, [this, task, machine_idx, now] {
-          on_failure(task, machine_idx, now, /*frees_machine=*/false,
+        engine_.schedule_at(notify, [this, task, id, machine_idx, now] {
+          on_failure(task, id, machine_idx, now, /*frees_machine=*/false,
                      FailCause::ResultLoss);
         });
         return;
@@ -792,9 +798,10 @@ class Run {
       const PriceSpec price = effective_price(machine, now);
       const double cost = util::charge_cents(
           runtime, price.rate_cents_per_s, price.period_s);
-      engine_.schedule_at(t_complete, [this, task, machine_idx, now, cost] {
-        on_success(task, machine_idx, now, cost);
-      });
+      engine_.schedule_at(t_complete,
+                          [this, task, id, machine_idx, now, cost] {
+                            on_success(task, id, machine_idx, now, cost);
+                          });
       return;
     }
     if (down_at < t_kill) {
@@ -808,14 +815,15 @@ class Run {
           reliable || rng_.bernoulli(machine.group->failure_notice_prob);
       const double notify =
           reported ? down_at : (t_kill == kInf ? down_at : t_kill);
-      engine_.schedule_at(notify, [this, task, machine_idx, now, cause] {
-        on_failure(task, machine_idx, now, /*frees_machine=*/false, cause);
+      engine_.schedule_at(notify, [this, task, id, machine_idx, now, cause] {
+        on_failure(task, id, machine_idx, now, /*frees_machine=*/false,
+                   cause);
       });
       return;
     }
     // Killed at the deadline while still running.
-    engine_.schedule_at(t_kill, [this, task, machine_idx, now] {
-      on_failure(task, machine_idx, now, /*frees_machine=*/true,
+    engine_.schedule_at(t_kill, [this, task, id, machine_idx, now] {
+      on_failure(task, id, machine_idx, now, /*frees_machine=*/true,
                  FailCause::Deadline);
     });
   }
@@ -866,16 +874,13 @@ class Run {
     });
   }
 
-  void on_success(workload::TaskId task, std::size_t machine_idx,
-                  double send_time, double cost) {
+  void on_success(workload::TaskId task, std::uint32_t id,
+                  std::size_t machine_idx, double send_time, double cost) {
     const double now = engine_.now();
     auto& machine = machines_[machine_idx];
     set_state(machine_idx, machine.up, /*busy=*/false);
     ++obs_pools_[machine.pool_index].completed;
-    remove_pending(task,
-                   machine.reliable_pool ? PoolKind::Reliable
-                                         : PoolKind::Unreliable,
-                   send_time);
+    remove_pending(id);
     records_.push_back(InstanceRecord{
         task,
         machine.reliable_pool ? PoolKind::Reliable : PoolKind::Unreliable,
@@ -884,15 +889,13 @@ class Run {
     policy_.succeeded(task, cost);
   }
 
-  void on_failure(workload::TaskId task, std::size_t machine_idx,
-                  double send_time, bool frees_machine, FailCause cause) {
+  void on_failure(workload::TaskId task, std::uint32_t id,
+                  std::size_t machine_idx, double send_time,
+                  bool frees_machine, FailCause cause) {
     auto& machine = machines_[machine_idx];
     if (frees_machine) set_state(machine_idx, machine.up, /*busy=*/false);
     ++obs_pools_[machine.pool_index].preempted[cause_index(cause)];
-    remove_pending(task,
-                   machine.reliable_pool ? PoolKind::Reliable
-                                         : PoolKind::Unreliable,
-                   send_time);
+    remove_pending(id);
     // Blackout and out-of-bid preemptions surface as their own trace
     // outcomes; duty-cycle and natural host deaths stay Timeout (the
     // scheduler cannot tell a recharging phone from a dead host).
@@ -1021,19 +1024,18 @@ class Run {
     workload::TaskId task = 0;
     PoolKind pool = PoolKind::Unreliable;
     double send_time = 0.0;
+    std::uint32_t id = 0;  ///< the instance's index in pending_slot_
   };
 
-  void remove_pending(workload::TaskId task, PoolKind pool,
-                      double send_time) {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const auto& p = pending_[i];
-      if (p.task == task && p.pool == pool && p.send_time == send_time) {
-        pending_[i] = pending_.back();
-        pending_.pop_back();
-        return;
-      }
-    }
-    EXPERT_CHECK(false, "resolved instance missing from pending set");
+  /// Swap-remove a resolved instance from the pending set: the last entry
+  /// fills its slot, so the set keeps the order a truncated trace records.
+  void remove_pending(std::uint32_t id) {
+    const std::size_t slot = pending_slot_[id];
+    EXPERT_CHECK(slot < pending_.size() && pending_[slot].id == id,
+                 "resolved instance missing from pending set");
+    pending_slot_[pending_.back().id] = slot;
+    pending_[slot] = pending_.back();
+    pending_.pop_back();
   }
 
   /// One grid group's identity across the environment: used for blackout
@@ -1050,7 +1052,10 @@ class Run {
   Policy policy_;
   const Executor::TailStrategySelector* selector_ = nullptr;
   std::uint64_t stream_ = 0;  ///< backend stream; gates the chaos kill
+  /// Instances in flight, and per instance id (one per send) its slot in
+  /// pending_ while it runs.
   std::vector<PendingInstance> pending_;
+  std::vector<std::size_t> pending_slot_;
   util::Rng rng_;
   /// Non-null when the config carries an active chaos plan. Fault draws
   /// come from their own RNG so the plan never perturbs the scheduling
