@@ -54,10 +54,12 @@ TruncatedLognormal TruncatedLognormal::from_stats(double mean, double lo,
   double mu_hi = std::log(hi) + 2.0;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (mu_lo + mu_hi);
-    if (truncated_mean(mid, sigma, lo, hi) < mean)
-      mu_lo = mid;
-    else
-      mu_hi = mid;
+    double& bound = truncated_mean(mid, sigma, lo, hi) < mean ? mu_lo : mu_hi;
+    // A step that leaves both bounds unchanged repeats exactly in every
+    // later step (the Monte-Carlo mean has a fixed seed), so stopping here
+    // returns the 60-step result.
+    if (bound == mid) break;
+    bound = mid;
   }
   return TruncatedLognormal(0.5 * (mu_lo + mu_hi), sigma, lo, hi);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "expert/util/assert.hpp"
 
 namespace expert::stats {
@@ -85,6 +89,38 @@ TEST(TruncatedLognormal, ScaledRejectsNonPositiveFactor) {
 TEST(TruncatedLognormal, ApproximateMeanAgreesWithSampling) {
   const auto dist = TruncatedLognormal::from_stats(1000.0, 200.0, 4000.0);
   EXPECT_NEAR(dist.approximate_mean(), 1000.0, 20.0);
+}
+
+/// from_stats as it was before its bisection stopped early: always 60
+/// steps. approximate_mean() is the same fixed-seed Monte-Carlo mean.
+TruncatedLognormal sixty_step_from_stats(double mean, double lo, double hi) {
+  const double sigma = std::log(hi / lo) / 4.0;
+  double mu_lo = std::log(lo) - 2.0;
+  double mu_hi = std::log(hi) + 2.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid = 0.5 * (mu_lo + mu_hi);
+    if (TruncatedLognormal(mid, sigma, lo, hi).approximate_mean() < mean)
+      mu_lo = mid;
+    else
+      mu_hi = mid;
+  }
+  return TruncatedLognormal(0.5 * (mu_lo + mu_hi), sigma, lo, hi);
+}
+
+TEST(TruncatedLognormal, EarlyStopMatchesTheSixtyStepBisection) {
+  // WL1, the service's default tenant BoT and the synthetic Exp-11 model.
+  for (const StatTriple& t : {StatTriple{1597.0, 1019.0, 3558.0},
+                              StatTriple{1000.0, 400.0, 2500.0},
+                              StatTriple{2066.0, 300.0, 6000.0}}) {
+    const auto fast = TruncatedLognormal::from_stats(t.mean, t.lo, t.hi);
+    const auto frozen = sixty_step_from_stats(t.mean, t.lo, t.hi);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.mu()),
+              std::bit_cast<std::uint64_t>(frozen.mu()))
+        << "mean " << t.mean;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.sigma()),
+              std::bit_cast<std::uint64_t>(frozen.sigma()))
+        << "mean " << t.mean;
+  }
 }
 
 TEST(AvailabilityModel, LongRunAvailability) {
