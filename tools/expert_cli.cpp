@@ -909,6 +909,12 @@ int cmd_execute(const util::Args& args) {
   if (bots > 1) return run_campaign(args, env, bots);
   EXPERT_REQUIRE(!parse_backend_options(args).process(),
                  "--backend process needs a campaign (--bots > 1)");
+  // Only run_campaign reads these; a single BoT would silently drop them.
+  for (const std::string name : {"journal", "resume", "drift", "workers",
+                                 "kill-after-bots", "backend-timeout"}) {
+    EXPERT_REQUIRE(!args.option(name) && !args.has_flag(name),
+                   "--" + name + " needs a campaign (--bots > 1)");
+  }
   core::CharacterizationOptions copts;
   copts.mode = parse_mode(args);
 
