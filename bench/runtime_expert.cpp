@@ -174,15 +174,16 @@ BENCHMARK(BM_FrontierSweepSingleRepetition)
     ->Iterations(40);
 
 void BM_ArchExecution(benchmark::State& state,
-                      gridsim::env::Architecture arch) {
-  // Machine-level execution cost per environment architecture: one 150-task
-  // BoT through gridsim on the architecture's reference environment. Gates
-  // the dynamics machinery (price paths, forced windows, duty cycles) the
-  // environment seam added to the executor hot path.
+                      gridsim::env::Architecture arch, std::size_t hosts) {
+  // Machine-level execution cost per environment architecture: one WL1 BoT
+  // (820 tasks) through gridsim on the architecture's reference environment
+  // of `hosts` grid hosts. Gates the dynamics machinery (price paths, forced
+  // windows, duty cycles) the environment seam added to the executor hot
+  // path.
   const auto& wl = workload::workload_spec(workload::WorkloadId::WL1);
   gridsim::ExecutorConfig cfg;
   cfg.environment = gridsim::env::make_reference_environment(
-      arch, bench::kPoolSize, bench::kGamma11, bench::kTur);
+      arch, hosts, bench::kGamma11, bench::kTur);
   cfg.throughput_deadline = wl.deadline_d;
   cfg.seed = bench::kSeed;
   gridsim::Executor executor(cfg);
@@ -199,18 +200,23 @@ void BM_ArchExecution(benchmark::State& state,
   }
 }
 BENCHMARK_CAPTURE(BM_ArchExecution, classic,
-                  gridsim::env::Architecture::Classic)
+                  gridsim::env::Architecture::Classic, bench::kPoolSize)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ArchExecution, spot, gridsim::env::Architecture::Spot)
+BENCHMARK_CAPTURE(BM_ArchExecution, spot, gridsim::env::Architecture::Spot,
+                  bench::kPoolSize)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ArchExecution, serverless,
-                  gridsim::env::Architecture::Serverless)
+                  gridsim::env::Architecture::Serverless, bench::kPoolSize)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ArchExecution, multiregion,
-                  gridsim::env::Architecture::MultiRegion)
+                  gridsim::env::Architecture::MultiRegion, bench::kPoolSize)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ArchExecution, volunteer,
-                  gridsim::env::Architecture::Volunteer)
+                  gridsim::env::Architecture::Volunteer, bench::kPoolSize)
+    ->Unit(benchmark::kMillisecond);
+// perfbench `execute`'s grid size, where ~200 instances are in flight.
+BENCHMARK_CAPTURE(BM_ArchExecution, classic_200,
+                  gridsim::env::Architecture::Classic, std::size_t{200})
     ->Unit(benchmark::kMillisecond);
 
 /// The process backend's payloads for the `execute` configuration: the
@@ -284,6 +290,21 @@ void BM_RequestCodec_decode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RequestCodec_decode)->Name("BM_RequestCodec/decode");
+
+/// The worker's reply as a whole: encode the `execute` trace, frame it as
+/// XPF1, then decode the frame and the trace as the parent does.
+void BM_FrameRoundTrip(benchmark::State& state) {
+  const auto& p = codec_payloads();
+  for (auto _ : state) {
+    const std::string frame = procexec::encode_frame(
+        procexec::FrameType::Response, procexec::encode_response(*p.trace));
+    const procexec::DecodeResult decoded = procexec::decode_frame(frame);
+    benchmark::DoNotOptimize(procexec::decode_response(decoded.frame.payload));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.response.size()));
+}
+BENCHMARK(BM_FrameRoundTrip);
 
 /// The XPF1 checksum over the `execute` response, which a worker computes
 /// to encode the frame and the parent again to decode it.
