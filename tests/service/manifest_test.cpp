@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "expert/util/assert.hpp"
+#include "expert/util/hash.hpp"
 #include "service_test_util.hpp"
 
 namespace expert::service {
@@ -98,6 +99,17 @@ TEST(ManifestIo, WriteIsDeterministic) {
   write_manifest(a, sample_manifest(), kDigest);
   write_manifest(b, sample_manifest(), kDigest);
   EXPECT_EQ(read_file(a), read_file(b));
+}
+
+TEST(ManifestIo, BytesMatchThePinnedDigest) {
+  // Pinned from the writer before it moved onto the shared record line:
+  // the manifest's bytes are a persisted format and must not drift.
+  const std::string path = fresh_dir("pinned") + ".manifest";
+  write_manifest(path, sample_manifest(), kDigest);
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), 1099u);
+  EXPECT_EQ(util::HashState().mix(std::string_view(bytes)).digest(),
+            0x79E3F398B97A32BFULL);
 }
 
 TEST(ManifestIo, MissingFileThrows) {
