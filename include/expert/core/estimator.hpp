@@ -7,7 +7,6 @@
 #include "expert/core/user_params.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/trace/trace.hpp"
-#include "expert/workload/bot.hpp"
 
 namespace expert::core {
 
@@ -100,9 +99,6 @@ class Estimator {
   /// `stream` decorrelates RNG streams across callers (the eval layer
   /// passes a content-derived stream; see eval::EvalKey).
   EstimateResult estimate(std::size_t task_count,
-                          const strategies::StrategyConfig& strategy,
-                          std::uint64_t stream = 0) const;
-  EstimateResult estimate(const workload::Bot& bot,
                           const strategies::StrategyConfig& strategy,
                           std::uint64_t stream = 0) const;
 

@@ -30,8 +30,4 @@ std::vector<StrategyPoint> read_points_csv(std::istream& in);
 void write_points_csv_file(const std::vector<StrategyPoint>& points,
                            const std::string& path);
 
-/// File-path convenience over read_points_csv. Throws when the file cannot
-/// be opened or parsed.
-std::vector<StrategyPoint> read_points_csv_file(const std::string& path);
-
 }  // namespace expert::core

@@ -23,11 +23,6 @@ class TruncatedLognormal {
   /// Monte-Carlo estimate of the truncated mean (deterministic seed).
   double approximate_mean() const;
 
-  /// The same distribution with every quantile multiplied by `factor`
-  /// (lognormal truncation is scale-invariant, so this is exact and free —
-  /// no re-calibration).
-  TruncatedLognormal scaled(double factor) const;
-
   double mu() const noexcept { return mu_; }
   double sigma() const noexcept { return sigma_; }
   double lo() const noexcept { return lo_; }
@@ -62,11 +57,6 @@ struct AvailabilityModel {
   double sample_up(util::Rng& rng) const;
   /// Draw one down-period duration (0 when mean_down is 0).
   double sample_down(util::Rng& rng) const;
-
-  /// Build a model with the given long-run availability and mean up-time.
-  static AvailabilityModel from_availability(double availability,
-                                             double mean_up_seconds,
-                                             double up_shape = 1.0);
 };
 
 }  // namespace expert::stats

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <vector>
 
 namespace expert::stats {
 
@@ -29,37 +26,7 @@ class Accumulator {
   double max_ = 0.0;
 };
 
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p90 = 0.0;
-};
-
-/// One-shot summary of a sample. Requires non-empty input.
-Summary summarize(std::span<const double> values);
-
-/// Linear-interpolation quantile of an unsorted sample; p in [0,1].
-double quantile(std::vector<double> values, double p);
-
 /// Relative deviation (a - b) / b, the paper's Table V deviation metric.
 double relative_deviation(double simulated, double real);
-
-/// Percentile-bootstrap confidence interval for the mean of a sample.
-struct MeanCi {
-  double mean = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// `confidence` in (0,1); deterministic in `seed`. Requires a non-empty
-/// sample; a single-element sample returns a degenerate interval.
-MeanCi bootstrap_mean_ci(std::span<const double> values,
-                         double confidence = 0.95,
-                         std::size_t resamples = 2000,
-                         std::uint64_t seed = 0xB007ULL);
 
 }  // namespace expert::stats

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 
 #include "expert/trace/trace.hpp"
@@ -18,18 +17,5 @@ void write_csv(const ExecutionTrace& trace, std::ostream& out);
 /// offending row. Traces written before the truncated flag existed (4-field
 /// #meta line) load as non-truncated.
 ExecutionTrace read_csv(std::istream& in);
-
-/// Result of a lenient load: the trace assembled from the well-formed rows
-/// plus how many malformed rows were dropped on the way.
-struct LenientReadResult {
-  ExecutionTrace trace;
-  std::size_t skipped_rows = 0;
-};
-
-/// Like read_csv, but skips malformed data rows (wrong field count, bad
-/// enum, unparsable number) instead of aborting the load, counting them in
-/// `skipped_rows`. The #meta line must still be intact — without it the
-/// trace has no task count or phase boundary to anchor to.
-LenientReadResult read_csv_lenient(std::istream& in);
 
 }  // namespace expert::trace

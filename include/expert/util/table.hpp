@@ -24,8 +24,6 @@ class Table {
 
 /// Fixed-precision decimal string, e.g. fmt(3.14159, 2) == "3.14".
 std::string fmt(double value, int decimals = 2);
-/// Integer with thousands separators, e.g. fmt_count(15640) == "15,640".
-std::string fmt_count(long long value);
 /// Percentage with sign, e.g. fmt_pct(0.33) == "+33%".
 std::string fmt_signed_pct(double fraction, int decimals = 0);
 

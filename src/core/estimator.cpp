@@ -567,10 +567,4 @@ EstimateResult Estimator::estimate(std::size_t task_count,
   return aggregate_runs(std::move(runs));
 }
 
-EstimateResult Estimator::estimate(const workload::Bot& bot,
-                                   const strategies::StrategyConfig& strategy,
-                                   std::uint64_t stream) const {
-  return estimate(bot.size(), strategy, stream);
-}
-
 }  // namespace expert::core

@@ -1,6 +1,5 @@
 #include "expert/core/frontier_io.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -99,14 +98,6 @@ void write_points_csv_file(const std::vector<StrategyPoint>& points,
   std::ostringstream os;
   write_points_csv(points, os);
   util::atomic_write(path, os.str());
-}
-
-std::vector<StrategyPoint> read_points_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    throw std::runtime_error("cannot open frontier file: " + path);
-  }
-  return read_points_csv(in);
 }
 
 }  // namespace expert::core

@@ -79,12 +79,6 @@ double TruncatedLognormal::approximate_mean() const {
   return truncated_mean(mu_, sigma_, lo_, hi_);
 }
 
-TruncatedLognormal TruncatedLognormal::scaled(double factor) const {
-  EXPERT_REQUIRE(factor > 0.0, "scale factor must be positive");
-  return TruncatedLognormal(mu_ + std::log(factor), sigma_, lo_ * factor,
-                            hi_ * factor);
-}
-
 double AvailabilityModel::up_scale() const {
   EXPERT_REQUIRE(up_shape > 0.0, "Weibull shape must be positive");
   // mean = scale * Gamma(1 + 1/shape)  =>  scale = mean / Gamma(1 + 1/shape)
@@ -102,18 +96,6 @@ double AvailabilityModel::sample_up(util::Rng& rng) const {
 double AvailabilityModel::sample_down(util::Rng& rng) const {
   if (mean_down_seconds <= 0.0) return 0.0;
   return rng.exponential(1.0 / mean_down_seconds);
-}
-
-AvailabilityModel AvailabilityModel::from_availability(double availability,
-                                                       double mean_up_seconds,
-                                                       double up_shape) {
-  EXPERT_REQUIRE(availability > 0.0 && availability < 1.0,
-                 "availability must be in (0,1)");
-  EXPERT_REQUIRE(mean_up_seconds > 0.0, "mean up-time must be positive");
-  EXPERT_REQUIRE(up_shape > 0.0, "Weibull shape must be positive");
-  const double mean_down =
-      mean_up_seconds * (1.0 - availability) / availability;
-  return AvailabilityModel{mean_up_seconds, mean_down, up_shape};
 }
 
 }  // namespace expert::stats

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "expert/util/assert.hpp"
-#include "expert/util/rng.hpp"
 
 namespace expert::stats {
 
@@ -29,69 +27,11 @@ double Accumulator::variance() const noexcept {
 
 double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
-Summary summarize(std::span<const double> values) {
-  EXPERT_REQUIRE(!values.empty(), "summarize of empty sample");
-  Accumulator acc;
-  for (double v : values) acc.add(v);
-  std::vector<double> copy(values.begin(), values.end());
-  Summary s;
-  s.count = acc.count();
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.median = quantile(copy, 0.5);
-  s.p90 = quantile(std::move(copy), 0.9);
-  return s;
-}
-
-double quantile(std::vector<double> values, double p) {
-  EXPERT_REQUIRE(!values.empty(), "quantile of empty sample");
-  EXPERT_REQUIRE(p >= 0.0 && p <= 1.0, "quantile argument outside [0,1]");
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double pos = p * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
-
 double relative_deviation(double simulated, double real) {
   // EXPERT_LINT_ALLOW(FLT001): exact zero test guards the division below;
   // any nonzero baseline, however small, is a legal denominator.
   EXPERT_REQUIRE(real != 0.0, "relative deviation against zero baseline");
   return (simulated - real) / real;
-}
-
-MeanCi bootstrap_mean_ci(std::span<const double> values, double confidence,
-                         std::size_t resamples, std::uint64_t seed) {
-  EXPERT_REQUIRE(!values.empty(), "bootstrap of empty sample");
-  EXPERT_REQUIRE(confidence > 0.0 && confidence < 1.0,
-                 "confidence must be in (0,1)");
-  EXPERT_REQUIRE(resamples > 1, "need at least two resamples");
-
-  double mean = 0.0;
-  for (double v : values) mean += v;
-  mean /= static_cast<double>(values.size());
-  if (values.size() == 1) return {mean, mean, mean};
-
-  util::Rng rng(seed);
-  std::vector<double> means;
-  means.reserve(resamples);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      sum += values[rng.below(values.size())];
-    }
-    means.push_back(sum / static_cast<double>(values.size()));
-  }
-  const double alpha = (1.0 - confidence) / 2.0;
-  MeanCi ci;
-  ci.mean = mean;
-  ci.lo = quantile(means, alpha);
-  ci.hi = quantile(std::move(means), 1.0 - alpha);
-  return ci;
 }
 
 }  // namespace expert::stats

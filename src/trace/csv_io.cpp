@@ -31,8 +31,8 @@ double parse_turnaround(const std::string& s) {
   return std::stod(s);
 }
 
-/// Parse one data row. Throws std::runtime_error (without location — the
-/// callers attach the line number) on any malformed field.
+/// Parse one data row. Throws std::runtime_error (without location —
+/// read_csv attaches the line number) on any malformed field.
 InstanceRecord parse_record(const std::vector<std::string>& row) {
   if (row.size() != 7)
     throw std::runtime_error("row has " + std::to_string(row.size()) +
@@ -121,29 +121,6 @@ ExecutionTrace read_csv(std::istream& in) {
   }
   return ExecutionTrace(meta.task_count, std::move(records), meta.t_tail,
                         meta.completion, meta.truncated);
-}
-
-LenientReadResult read_csv_lenient(std::istream& in) {
-  const auto rows = util::parse_csv(in);
-  const Meta meta = parse_meta(rows);
-  LenientReadResult result;
-  std::vector<InstanceRecord> records;
-  records.reserve(rows.size() - 2);
-  for (std::size_t i = 2; i < rows.size(); ++i) {
-    try {
-      InstanceRecord r = parse_record(rows[i]);
-      // A record pointing past the task count would fail the trace's own
-      // invariants later; treat it as malformed here so the load survives.
-      if (r.task >= meta.task_count)
-        throw std::runtime_error("task id out of range");
-      records.push_back(r);
-    } catch (const std::exception&) {
-      ++result.skipped_rows;
-    }
-  }
-  result.trace = ExecutionTrace(meta.task_count, std::move(records),
-                                meta.t_tail, meta.completion, meta.truncated);
-  return result;
 }
 
 }  // namespace expert::trace

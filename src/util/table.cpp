@@ -53,23 +53,6 @@ std::string fmt(double value, int decimals) {
   return os.str();
 }
 
-std::string fmt_count(long long value) {
-  std::string digits = std::to_string(value < 0 ? -value : value);
-  std::string out;
-  int since_sep = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (since_sep == 3) {
-      out += ',';
-      since_sep = 0;
-    }
-    out += *it;
-    ++since_sep;
-  }
-  if (value < 0) out += '-';
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
 std::string fmt_signed_pct(double fraction, int decimals) {
   std::ostringstream os;
   os << (fraction >= 0 ? "+" : "") << std::fixed

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "expert/util/assert.hpp"
-#include "expert/util/rng.hpp"
 
 namespace expert::stats {
 namespace {
@@ -30,80 +29,6 @@ TEST(Accumulator, StableForLargeOffsets) {
   for (int i = 0; i < 10000; ++i) acc.add(1.0e9 + (i % 2));
   EXPECT_NEAR(acc.mean(), 1.0e9 + 0.5, 1e-3);
   EXPECT_NEAR(acc.variance(), 0.25, 1e-3);
-}
-
-TEST(Summarize, MatchesManualComputation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-}
-
-TEST(Summarize, RejectsEmpty) {
-  EXPECT_THROW(summarize({}), util::ContractViolation);
-}
-
-TEST(Quantile, InterpolatesLinearly) {
-  std::vector<double> xs = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 10.0);
-}
-
-TEST(Quantile, UnsortedInputHandled) {
-  std::vector<double> xs = {9.0, 1.0, 5.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 5.0);
-}
-
-TEST(Quantile, SingleElement) {
-  EXPECT_DOUBLE_EQ(quantile({7.0}, 0.3), 7.0);
-}
-
-TEST(BootstrapMeanCi, CoversTheTrueMean) {
-  util::Rng rng(5);
-  std::vector<double> sample;
-  for (int i = 0; i < 200; ++i) sample.push_back(rng.normal(10.0, 2.0));
-  const auto ci = bootstrap_mean_ci(sample, 0.95);
-  EXPECT_LT(ci.lo, ci.mean);
-  EXPECT_GT(ci.hi, ci.mean);
-  EXPECT_LT(ci.lo, 10.0 + 0.5);
-  EXPECT_GT(ci.hi, 10.0 - 0.5);
-  // Interval width ~ 2 * 1.96 * sigma / sqrt(n) ~ 0.55.
-  EXPECT_NEAR(ci.hi - ci.lo, 0.55, 0.25);
-}
-
-TEST(BootstrapMeanCi, WiderConfidenceWiderInterval) {
-  util::Rng rng(6);
-  std::vector<double> sample;
-  for (int i = 0; i < 100; ++i) sample.push_back(rng.uniform(0.0, 1.0));
-  const auto narrow = bootstrap_mean_ci(sample, 0.5);
-  const auto wide = bootstrap_mean_ci(sample, 0.99);
-  EXPECT_LT(narrow.hi - narrow.lo, wide.hi - wide.lo);
-}
-
-TEST(BootstrapMeanCi, SingleSampleDegenerates) {
-  const auto ci = bootstrap_mean_ci(std::vector<double>{7.0});
-  EXPECT_DOUBLE_EQ(ci.mean, 7.0);
-  EXPECT_DOUBLE_EQ(ci.lo, 7.0);
-  EXPECT_DOUBLE_EQ(ci.hi, 7.0);
-}
-
-TEST(BootstrapMeanCi, DeterministicInSeed) {
-  const std::vector<double> sample = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto a = bootstrap_mean_ci(sample, 0.9, 500, 42);
-  const auto b = bootstrap_mean_ci(sample, 0.9, 500, 42);
-  EXPECT_DOUBLE_EQ(a.lo, b.lo);
-  EXPECT_DOUBLE_EQ(a.hi, b.hi);
-}
-
-TEST(BootstrapMeanCi, RejectsBadArguments) {
-  EXPECT_THROW(bootstrap_mean_ci({}), util::ContractViolation);
-  const std::vector<double> one = {1.0, 2.0};
-  EXPECT_THROW(bootstrap_mean_ci(one, 1.5), util::ContractViolation);
-  EXPECT_THROW(bootstrap_mean_ci(one, 0.9, 1), util::ContractViolation);
 }
 
 TEST(RelativeDeviation, MatchesTableVConvention) {

@@ -137,33 +137,5 @@ TEST(TraceCsv, LegacyFourFieldMetaLoadsAsNotTruncated) {
   EXPECT_EQ(parsed.records().size(), 1u);
 }
 
-TEST(TraceCsv, LenientReadSkipsMalformedRows) {
-  std::ostringstream out;
-  write_csv(make_trace(), out);
-  std::istringstream in(out.str() +
-                        "1,unreliable,0\n"          // wrong field count
-                        "1,marsgrid,0,1,success,0,0\n"  // unknown pool
-                        "1,unreliable,x,1,success,0,0\n"  // bad number
-                        "7,unreliable,0,1,success,0,0\n"  // task out of range
-                        "2,unreliable,490,75,success,0.5,1\n");  // fine
-  const auto result = read_csv_lenient(in);
-  EXPECT_EQ(result.skipped_rows, 4u);
-  EXPECT_EQ(result.trace.records().size(), make_trace().records().size() + 1);
-}
-
-TEST(TraceCsv, LenientReadStillRequiresMeta) {
-  std::istringstream in("task,pool\n0,unreliable\n");
-  EXPECT_THROW(read_csv_lenient(in), std::runtime_error);
-}
-
-TEST(TraceCsv, LenientReadOfCleanTraceSkipsNothing) {
-  std::ostringstream out;
-  write_csv(make_trace(), out);
-  std::istringstream in(out.str());
-  const auto result = read_csv_lenient(in);
-  EXPECT_EQ(result.skipped_rows, 0u);
-  EXPECT_EQ(result.trace.records().size(), make_trace().records().size());
-}
-
 }  // namespace
 }  // namespace expert::trace

@@ -36,14 +36,6 @@ TEST(Fmt, FixedDecimals) {
   EXPECT_EQ(fmt(-0.5, 1), "-0.5");
 }
 
-TEST(FmtCount, ThousandsSeparators) {
-  EXPECT_EQ(fmt_count(0), "0");
-  EXPECT_EQ(fmt_count(999), "999");
-  EXPECT_EQ(fmt_count(1000), "1,000");
-  EXPECT_EQ(fmt_count(15640), "15,640");
-  EXPECT_EQ(fmt_count(-1234567), "-1,234,567");
-}
-
 TEST(FmtSignedPct, SignsAndScales) {
   EXPECT_EQ(fmt_signed_pct(0.33), "+33%");
   EXPECT_EQ(fmt_signed_pct(-0.05), "-5%");
