@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "expert/core/campaign.hpp"
 
@@ -74,7 +73,18 @@ std::string escape(std::string_view text);
 void append_escaped(std::string& out, std::string_view text);
 std::string unescape(std::string_view text);
 
-std::vector<std::string> split(const std::string& text, char sep);
+/// The record line both persisted files are made of, the campaign journal
+/// and the service manifest: `<checksum> <payload>\n`, where the checksum
+/// is fmt_hex16 of util::HashState(salt) over the payload. Each file has
+/// its own salt, so a line moved from one file into the other does not
+/// verify.
+void append_record_line(std::string& out, std::uint64_t salt,
+                        std::string_view payload);
+/// The payload of one record line, given without its '\n', when the line
+/// is 16 lowercase hex digits, a space and a non-empty payload whose
+/// checksum under `salt` they are; nullopt otherwise.
+std::optional<std::string_view> record_line_payload(std::string_view line,
+                                                    std::uint64_t salt);
 
 /// A forward cursor over one payload for single-pass decoders. Every read
 /// consumes exactly one field and throws util::ContractViolation when the

@@ -29,14 +29,19 @@ struct Manifest {
   std::vector<ManifestEntry> entries;
 };
 
-/// Format (docs/service.md): line-based, each line
-/// `<checksum16> <payload>\n` exactly like the campaign journal, with a
-/// header line binding the file to the service's scheduling digest. Unlike
-/// the append-only journal the manifest is small and rewritten whole via
-/// util::atomic_write on every lifecycle transition, so a crash leaves
-/// either the previous or the next registry — never a torn one. Any
-/// checksum or grammar error on read throws: refusing to guess beats
-/// resuming the wrong tenant set.
+/// Salt of the manifest's record-line checksum; it differs from the
+/// journal's, so a journal line pasted into a manifest does not verify.
+inline constexpr std::uint64_t kManifestChecksumSalt = 0x5E4F1CE3A21ULL;
+
+/// Format (docs/service.md): the campaign journal's record lines
+/// (resilience::serial::append_record_line under kManifestChecksumSalt): a
+/// header line binding the file to the service's scheduling digest, then
+/// one tenant record per line, its fields read in the order they are
+/// written. Unlike the append-only journal the manifest is small and
+/// rewritten whole via util::atomic_write on every lifecycle transition, so
+/// a crash leaves either the previous or the next registry — never a torn
+/// one. Any checksum or grammar error on read throws: refusing to guess
+/// beats resuming the wrong tenant set.
 void write_manifest(const std::string& path, const Manifest& manifest,
                     std::uint64_t scheduling_digest);
 

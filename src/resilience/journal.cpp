@@ -124,11 +124,6 @@ RecoveredRecord parse_record_payload(std::string_view payload,
   return rec;
 }
 
-std::uint64_t line_checksum(const std::string& payload) {
-  return util::HashState(kChecksumSalt).mix(std::string_view(payload))
-      .digest();
-}
-
 std::string errno_text() { return std::strerror(errno); }
 
 struct JournalObs {
@@ -239,8 +234,8 @@ CampaignJournal::~CampaignJournal() {
 }
 
 void CampaignJournal::append_line(const std::string& payload) {
-  const std::string line =
-      ser::fmt_hex16(line_checksum(payload)) + ' ' + payload + '\n';
+  std::string line;
+  ser::append_record_line(line, kChecksumSalt, payload);
   // One O_APPEND write for the whole line: a crash tears at most this
   // line, which recovery's checksum pass detects and drops. Both the write
   // and the fsync retry EINTR — a worker's death notification arriving
@@ -290,42 +285,27 @@ Recovered recover_campaign(const std::string& path,
   // can be truncated away precisely. A trailing fragment without '\n' is a
   // line too (it is exactly the torn-append case).
   struct Line {
-    std::string text;
+    std::string_view text;
     std::size_t offset = 0;
   };
+  const std::string_view all(contents);
   std::vector<Line> lines;
   std::size_t start = 0;
-  while (start < contents.size()) {
-    const std::size_t nl = contents.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back({contents.substr(start), start});
+  while (start < all.size()) {
+    const std::size_t nl = all.find('\n', start);
+    if (nl == std::string_view::npos) {
+      lines.push_back({all.substr(start), start});
       break;
     }
-    lines.push_back({contents.substr(start, nl - start), start});
+    lines.push_back({all.substr(start, nl - start), start});
     start = nl + 1;
   }
   EXPERT_REQUIRE(!lines.empty(), "journal: " + path + " is empty");
 
-  // Checksum-validate a line; nullopt when it is torn/corrupt.
-  const auto payload_of = [](const std::string& line)
-      -> std::optional<std::string> {
-    if (line.size() < 18 || line[16] != ' ') return std::nullopt;
-    const std::string checksum_text = line.substr(0, 16);
-    for (const char c : checksum_text) {
-      const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-      if (!hex) return std::nullopt;
-    }
-    const std::string payload = line.substr(17);
-    if (ser::parse_u64(checksum_text, 16) != line_checksum(payload)) {
-      return std::nullopt;
-    }
-    return payload;
-  };
-
   Recovered out;
   const std::uint64_t expected = campaign_options_digest(options);
 
-  const auto header = payload_of(lines[0].text);
+  const auto header = ser::record_line_payload(lines[0].text, kChecksumSalt);
   EXPERT_REQUIRE(header.has_value(),
                  "journal: " + path + " has a corrupt header");
   {
@@ -342,7 +322,8 @@ Recovered recover_campaign(const std::string& path,
 
   std::size_t valid_end = contents.size();
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const auto payload = payload_of(lines[i].text);
+    const auto payload =
+        ser::record_line_payload(lines[i].text, kChecksumSalt);
     if (!payload.has_value()) {
       // Only the final line may be torn — that is the crash artifact the
       // format is designed around. Corruption before it means the file was

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <initializer_list>
+#include <vector>
 
 #include "expert/util/assert.hpp"
+#include "expert/util/hash.hpp"
 
 namespace expert::resilience::serial {
 
@@ -24,6 +26,8 @@ constexpr std::uint64_t kFractionMask =
     (std::uint64_t{1} << kFractionBits) - 1;
 constexpr std::uint64_t kInfExponent = 0x7FF;
 constexpr char kHexDigits[] = "0123456789abcdef";
+/// A record line's checksum: fmt_hex16's 16 digits.
+constexpr std::size_t kChecksumChars = 16;
 /// Each byte's value as a lowercase hex digit; kNotHex for every other
 /// byte.
 constexpr std::uint8_t kNotHex = 0xFF;
@@ -149,18 +153,31 @@ std::string unescape(std::string_view text) {
   return out;
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + 1;
+void append_record_line(std::string& out, std::uint64_t salt,
+                        std::string_view payload) {
+  out.reserve(out.size() + kChecksumChars + payload.size() + 2);
+  out += fmt_hex16(util::HashState(salt).mix(payload).digest());
+  out += ' ';
+  out += payload;
+  out += '\n';
+}
+
+std::optional<std::string_view> record_line_payload(std::string_view line,
+                                                    std::uint64_t salt) {
+  if (line.size() <= kChecksumChars + 1 || line[kChecksumChars] != ' ') {
+    return std::nullopt;
   }
+  std::uint64_t checksum = 0;
+  for (const char c : line.substr(0, kChecksumChars)) {
+    const std::uint8_t digit = kHexValue[static_cast<unsigned char>(c)];
+    if (digit == kNotHex) return std::nullopt;
+    checksum = checksum << 4 | digit;
+  }
+  const std::string_view payload = line.substr(kChecksumChars + 1);
+  if (checksum != util::HashState(salt).mix(payload).digest()) {
+    return std::nullopt;
+  }
+  return payload;
 }
 
 // ---- Reader ---------------------------------------------------------------

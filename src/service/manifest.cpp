@@ -1,13 +1,14 @@
 #include "expert/service/manifest.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "expert/resilience/journal.hpp"
 #include "expert/resilience/serial.hpp"
 #include "expert/util/assert.hpp"
 #include "expert/util/atomic_write.hpp"
-#include "expert/util/hash.hpp"
 
 namespace expert::service {
 
@@ -15,132 +16,112 @@ namespace {
 
 namespace ser = resilience::serial;
 
-/// Domain separator for manifest line checksums (distinct from the journal
-/// checksum salt — a journal line pasted into a manifest must not verify).
-constexpr std::uint64_t kManifestChecksumSalt = 0x5E4F1CE3A21ULL;
-
-std::uint64_t line_checksum(const std::string& payload) {
-  return util::HashState(kManifestChecksumSalt)
-      .mix(std::string_view(payload))
-      .digest();
-}
-
-std::string checksummed(const std::string& payload) {
-  return ser::fmt_hex16(line_checksum(payload)) + ' ' + payload + '\n';
-}
-
 std::string header_payload(std::uint64_t scheduling_digest) {
   return "svc-manifest v1 options=" + ser::fmt_hex16(scheduling_digest);
 }
 
-std::string bots_field(const std::vector<BotSpec>& bots) {
-  std::string out;
-  for (std::size_t i = 0; i < bots.size(); ++i) {
+std::string entry_payload(const ManifestEntry& entry) {
+  const TenantSpec& s = entry.spec;
+  std::string out = "tenant id=";
+  ser::append_escaped(out, s.id);
+  out += " phase=";
+  out += to_string(entry.phase);
+  out += " cause=";
+  out += entry.termination ? to_string(*entry.termination) : "-";
+  out += " done=";
+  ser::append_u64(out, entry.bots_done);
+  out += " digest=";
+  out += ser::fmt_hex16(
+      resilience::campaign_options_digest(campaign_options_for(s)));
+  out += " utility=";
+  ser::append_escaped(out, s.utility);
+  out += s.drift ? " drift=1" : " drift=0";
+  out += " seed=";
+  ser::append_u64(out, s.seed);
+  out += " mean=";
+  ser::append_double(out, s.mean_cpu);
+  out += " min=";
+  ser::append_double(out, s.min_cpu);
+  out += " max=";
+  ser::append_double(out, s.max_cpu);
+  out += " density=";
+  ser::append_u64(out, s.sampling_density);
+  out += " window=";
+  ser::append_u64(out, s.history_window);
+  out += " reps=";
+  ser::append_u64(out, s.repetitions);
+  out += " retries=";
+  ser::append_u64(out, s.max_backend_retries);
+  out += " qunits=";
+  ser::append_u64(out, s.quotas.max_eval_units);
+  out += " qwall=";
+  ser::append_double(out, s.quotas.max_wall_seconds);
+  out += " qbytes=";
+  ser::append_u64(out, s.quotas.max_journal_bytes);
+  out += " bots=";
+  for (std::size_t i = 0; i < s.bots.size(); ++i) {
     if (i > 0) out += ',';
-    out += ser::fmt_u64(bots[i].tasks) + ':' + ser::fmt_u64(bots[i].seed);
+    ser::append_u64(out, s.bots[i].tasks);
+    out += ':';
+    ser::append_u64(out, s.bots[i].seed);
   }
   return out;
 }
 
-std::vector<BotSpec> parse_bots_field(const std::string& text) {
-  std::vector<BotSpec> bots;
-  for (const std::string& item : ser::split(text, ',')) {
-    const std::vector<std::string> parts = ser::split(item, ':');
-    EXPERT_REQUIRE(parts.size() == 2,
-                   "manifest: malformed BoT entry '" + item + "'");
-    BotSpec bot;
-    bot.tasks = static_cast<std::size_t>(ser::parse_u64(parts[0]));
-    bot.seed = ser::parse_u64(parts[1]);
-    bots.push_back(bot);
-  }
-  return bots;
-}
-
-std::string entry_payload(const ManifestEntry& entry) {
-  const TenantSpec& s = entry.spec;
-  std::ostringstream os;
-  os << "tenant id=" << ser::escape(s.id) << " phase=" << to_string(entry.phase)
-     << " cause="
-     << (entry.termination ? to_string(*entry.termination) : "-")
-     << " done=" << ser::fmt_u64(entry.bots_done) << " digest="
-     << ser::fmt_hex16(
-            resilience::campaign_options_digest(campaign_options_for(s)))
-     << " utility=" << ser::escape(s.utility)
-     << " drift=" << (s.drift ? 1 : 0) << " seed=" << ser::fmt_u64(s.seed)
-     << " mean=" << ser::fmt_double(s.mean_cpu)
-     << " min=" << ser::fmt_double(s.min_cpu)
-     << " max=" << ser::fmt_double(s.max_cpu)
-     << " density=" << ser::fmt_u64(s.sampling_density)
-     << " window=" << ser::fmt_u64(s.history_window)
-     << " reps=" << ser::fmt_u64(s.repetitions)
-     << " retries=" << ser::fmt_u64(s.max_backend_retries)
-     << " qunits=" << ser::fmt_u64(s.quotas.max_eval_units)
-     << " qwall=" << ser::fmt_double(s.quotas.max_wall_seconds)
-     << " qbytes=" << ser::fmt_u64(s.quotas.max_journal_bytes)
-     << " bots=" << bots_field(s.bots);
-  return os.str();
-}
-
-/// Split "key=value" tokens of one payload into a field lookup that
-/// preserves the grammar's strictness: every expected key must be present
-/// exactly once, in any order.
-class Fields {
- public:
-  explicit Fields(const std::vector<std::string>& tokens,
-                  std::size_t first_token) {
-    for (std::size_t i = first_token; i < tokens.size(); ++i) {
-      const std::string& token = tokens[i];
-      const std::size_t eq = token.find('=');
-      EXPERT_REQUIRE(eq != std::string::npos && eq > 0,
-                     "manifest: expected key=value, got '" + token + "'");
-      keys_.push_back(token.substr(0, eq));
-      values_.push_back(token.substr(eq + 1));
-    }
-  }
-
-  const std::string& get(const std::string& key) const {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == key) return values_[i];
-    }
-    EXPERT_REQUIRE(false, "manifest: missing field '" + key + "'");
-    return values_[0];  // unreachable
-  }
-
- private:
-  std::vector<std::string> keys_;
-  std::vector<std::string> values_;
-};
-
-ManifestEntry parse_entry(const std::string& payload) {
-  const std::vector<std::string> tokens = ser::split(payload, ' ');
-  EXPERT_REQUIRE(!tokens.empty() && tokens[0] == "tenant",
-                 "manifest: expected a tenant record");
-  const Fields fields(tokens, 1);
-
+/// Decode one tenant record in a single pass, each field in the order
+/// entry_payload writes it.
+ManifestEntry parse_entry(std::string_view payload) {
+  ser::Reader in(payload);
+  EXPERT_REQUIRE(in.consume("tenant "), "manifest: expected a tenant record");
   ManifestEntry entry;
   TenantSpec& s = entry.spec;
-  s.id = ser::unescape(fields.get("id"));
-  entry.phase = tenant_phase_from_string(fields.get("phase"));
-  const std::string cause = fields.get("cause");
-  if (cause != "-") entry.termination = termination_cause_from_string(cause);
-  entry.bots_done = ser::parse_u64(fields.get("done"));
-  s.utility = ser::unescape(fields.get("utility"));
-  s.drift = ser::parse_u64(fields.get("drift")) != 0;
-  s.seed = ser::parse_u64(fields.get("seed"));
-  s.mean_cpu = ser::parse_double(fields.get("mean"));
-  s.min_cpu = ser::parse_double(fields.get("min"));
-  s.max_cpu = ser::parse_double(fields.get("max"));
-  s.sampling_density =
-      static_cast<std::size_t>(ser::parse_u64(fields.get("density")));
-  s.history_window =
-      static_cast<std::size_t>(ser::parse_u64(fields.get("window")));
-  s.repetitions = static_cast<std::size_t>(ser::parse_u64(fields.get("reps")));
-  s.max_backend_retries =
-      static_cast<std::size_t>(ser::parse_u64(fields.get("retries")));
-  s.quotas.max_eval_units = ser::parse_u64(fields.get("qunits"));
-  s.quotas.max_wall_seconds = ser::parse_double(fields.get("qwall"));
-  s.quotas.max_journal_bytes = ser::parse_u64(fields.get("qbytes"));
-  s.bots = parse_bots_field(fields.get("bots"));
+  in.expect("id=");
+  s.id = ser::unescape(in.until(' '));
+  in.expect(" phase=");
+  entry.phase = tenant_phase_from_string(std::string(in.until(' ')));
+  in.expect(" cause=");
+  if (const std::string_view cause = in.until(' '); cause != "-") {
+    entry.termination = termination_cause_from_string(std::string(cause));
+  }
+  in.expect(" done=");
+  entry.bots_done = in.u64();
+  in.expect(" digest=");
+  const std::uint64_t options_digest = ser::parse_u64(in.until(' '), 16);
+  in.expect(" utility=");
+  s.utility = ser::unescape(in.until(' '));
+  in.expect(" drift=");
+  s.drift = in.flag();
+  in.expect(" seed=");
+  s.seed = in.u64();
+  in.expect(" mean=");
+  s.mean_cpu = in.real();
+  in.expect(" min=");
+  s.min_cpu = in.real();
+  in.expect(" max=");
+  s.max_cpu = in.real();
+  in.expect(" density=");
+  s.sampling_density = static_cast<std::size_t>(in.u64());
+  in.expect(" window=");
+  s.history_window = static_cast<std::size_t>(in.u64());
+  in.expect(" reps=");
+  s.repetitions = static_cast<std::size_t>(in.u64());
+  in.expect(" retries=");
+  s.max_backend_retries = static_cast<std::size_t>(in.u64());
+  in.expect(" qunits=");
+  s.quotas.max_eval_units = in.u64();
+  in.expect(" qwall=");
+  s.quotas.max_wall_seconds = in.real();
+  in.expect(" qbytes=");
+  s.quotas.max_journal_bytes = in.u64();
+  in.expect(" bots=");
+  do {
+    BotSpec bot;
+    bot.tasks = static_cast<std::size_t>(in.u64());
+    in.expect(':');
+    bot.seed = in.u64();
+    s.bots.push_back(bot);
+  } while (in.consume(','));
+  in.finish();
 
   const std::string error = validate_spec(s);
   EXPERT_REQUIRE(error.empty(), "manifest: invalid tenant spec: " + error);
@@ -148,7 +129,7 @@ ManifestEntry parse_entry(const std::string& payload) {
   // spec-to-options mapping changed since the manifest was written, and a
   // resumed campaign would silently diverge from its journal.
   EXPERT_REQUIRE(
-      ser::parse_u64(fields.get("digest"), 16) ==
+      options_digest ==
           resilience::campaign_options_digest(campaign_options_for(s)),
       "manifest: tenant '" + s.id +
           "' was persisted under a different campaign-options mapping");
@@ -161,9 +142,12 @@ ManifestEntry parse_entry(const std::string& payload) {
 
 void write_manifest(const std::string& path, const Manifest& manifest,
                     std::uint64_t scheduling_digest) {
-  std::string contents = checksummed(header_payload(scheduling_digest));
+  std::string contents;
+  ser::append_record_line(contents, kManifestChecksumSalt,
+                          header_payload(scheduling_digest));
   for (const ManifestEntry& entry : manifest.entries) {
-    contents += checksummed(entry_payload(entry));
+    ser::append_record_line(contents, kManifestChecksumSalt,
+                            entry_payload(entry));
   }
   util::atomic_write(path, contents);
 }
@@ -179,32 +163,28 @@ Manifest read_manifest(const std::string& path,
 
   Manifest manifest;
   bool saw_header = false;
+  const std::string_view all(contents);
   std::size_t pos = 0;
-  while (pos < contents.size()) {
-    std::size_t end = contents.find('\n', pos);
-    EXPERT_REQUIRE(end != std::string::npos,
+  while (pos < all.size()) {
+    const std::size_t end = all.find('\n', pos);
+    EXPERT_REQUIRE(end != std::string_view::npos,
                    "manifest: truncated final line in " + path);
-    const std::string line = contents.substr(pos, end - pos);
+    // The manifest is atomically replaced as a whole, so unlike the
+    // journal there is no benign torn tail: any bad line is corruption.
+    const std::optional<std::string_view> payload = ser::record_line_payload(
+        all.substr(pos, end - pos), kManifestChecksumSalt);
+    EXPERT_REQUIRE(payload.has_value(),
+                   "manifest: corrupt line in " + path);
     pos = end + 1;
 
-    // `<checksum16> <payload>`; the manifest is atomically replaced as a
-    // whole, so unlike the journal there is no benign torn tail — any
-    // mismatch is corruption.
-    EXPERT_REQUIRE(line.size() > 17 && line[16] == ' ',
-                   "manifest: malformed line in " + path);
-    const std::string payload = line.substr(17);
-    EXPERT_REQUIRE(ser::parse_u64(line.substr(0, 16), 16) ==
-                       line_checksum(payload),
-                   "manifest: checksum mismatch in " + path);
-
     if (!saw_header) {
-      EXPERT_REQUIRE(payload == header_payload(scheduling_digest),
+      EXPERT_REQUIRE(*payload == header_payload(scheduling_digest),
                      "manifest: header mismatch in " + path +
                          " (service scheduling options changed?)");
       saw_header = true;
       continue;
     }
-    manifest.entries.push_back(parse_entry(payload));
+    manifest.entries.push_back(parse_entry(*payload));
   }
   EXPERT_REQUIRE(saw_header, "manifest: empty file " + path);
   return manifest;

@@ -1,10 +1,17 @@
 // Service manifest durability: round-trips every field, and refuses to
-// guess on corruption, truncation, digest mismatch, or missing files.
+// guess on corruption, truncation, digest mismatch, missing files, or a
+// tenant record whose fields are not the ones the writer writes, in its
+// order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "expert/resilience/serial.hpp"
 #include "expert/util/assert.hpp"
 #include "expert/util/hash.hpp"
 #include "service_test_util.hpp"
@@ -155,6 +162,82 @@ TEST(ManifestIo, TruncatedFinalLineThrows) {
     out << bytes;
   }
   EXPECT_THROW(read_manifest(path, kDigest), util::ContractViolation);
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(ManifestIo, UppercaseChecksumDigitIsRefused) {
+  const std::string path = fresh_dir("uppercase") + ".manifest";
+  write_manifest(path, sample_manifest(), kDigest);
+  const std::string original = read_file(path);
+  std::size_t letters = 0;
+  for (std::size_t line = 0; line < original.size();
+       line = original.find('\n', line) + 1) {
+    for (std::size_t i = line; i < line + 16; ++i) {
+      if (original[i] < 'a' || original[i] > 'f') continue;
+      std::string bytes = original;
+      bytes[i] = static_cast<char>(bytes[i] - 'a' + 'A');
+      write_file(path, bytes);
+      EXPECT_THROW(read_manifest(path, kDigest), util::ContractViolation)
+          << "checksum digit at byte " << i;
+      ++letters;
+    }
+  }
+  EXPECT_GT(letters, 0u);
+}
+
+/// The sample manifest with its last tenant record's fields (the
+/// space-separated tokens after "tenant") passed through `edit` and the
+/// line checksummed again, so that only the record grammar can refuse it.
+template <typename Edit>
+std::string manifest_with_edited_fields(const std::string& path, Edit edit) {
+  write_manifest(path, sample_manifest(), kDigest);
+  std::string bytes = read_file(path);
+  const std::size_t last = bytes.rfind('\n', bytes.size() - 2) + 1;
+  const std::string payload = bytes.substr(last + 17, bytes.size() - last - 18);
+  std::vector<std::string> fields;
+  for (std::size_t pos = 0; pos <= payload.size();) {
+    const std::size_t end = std::min(payload.find(' ', pos), payload.size());
+    fields.push_back(payload.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  EXPECT_EQ(fields.front(), "tenant");
+  edit(fields);
+  std::string edited = fields.front();
+  for (std::size_t i = 1; i < fields.size(); ++i) edited += ' ' + fields[i];
+  bytes.resize(last);
+  resilience::serial::append_record_line(bytes, kManifestChecksumSalt,
+                                         edited);
+  return bytes;
+}
+
+TEST(ManifestIo, TenantFieldsAreReadOnceEachInWrittenOrder) {
+  const std::string path = fresh_dir("fields") + ".manifest";
+  // Unedited, the re-checksummed record reads back.
+  write_file(path, manifest_with_edited_fields(
+                       path, [](std::vector<std::string>&) {}));
+  EXPECT_EQ(read_manifest(path, kDigest).entries.size(), 4u);
+
+  const auto refused = [&](const char* what, auto edit) {
+    write_file(path, manifest_with_edited_fields(path, edit));
+    EXPECT_THROW(read_manifest(path, kDigest), util::ContractViolation)
+        << what;
+  };
+  refused("out of order", [](std::vector<std::string>& f) {
+    std::swap(f[6], f[7]);  // utility= and drift=
+  });
+  refused("repeated", [](std::vector<std::string>& f) {
+    f.insert(f.begin() + 4, f[4]);  // done=
+  });
+  refused("missing", [](std::vector<std::string>& f) {
+    f.erase(f.end() - 2);  // qbytes=
+  });
+  refused("unknown", [](std::vector<std::string>& f) {
+    f.insert(f.end() - 1, "extra=1");
+  });
 }
 
 TEST(ManifestIo, TerminatedEntryWithoutCauseFailsOnRead) {
