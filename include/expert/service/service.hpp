@@ -153,6 +153,10 @@ class CampaignService {
 
   Tenant* find(const std::string& id) noexcept;
   const Tenant* find(const std::string& id) const noexcept;
+  /// What a fresh and a resumed campaign share: the parsed utility, the
+  /// campaign options on the eval service with the tenant's label and
+  /// unit accounting, and the per-tenant series.
+  core::Campaign::Options wire_campaign(Tenant& tenant);
   void activate(Tenant& tenant);
   void restore_active(Tenant& tenant);
   void promote();

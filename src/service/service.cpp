@@ -214,25 +214,35 @@ AdmissionResult CampaignService::submit(const TenantSpec& spec) {
   return result;
 }
 
-void CampaignService::activate(Tenant& tenant) {
-  tenant.phase = TenantPhase::Active;
+core::Campaign::Options CampaignService::wire_campaign(Tenant& tenant) {
   tenant.utility = core::parse_utility(tenant.spec.utility);
 
   core::Campaign::Options copts = campaign_options_for(tenant.spec);
-  eval::EvalService* eval =
+  copts.expert.frontier.service =
       options_.eval != nullptr ? options_.eval : &eval::EvalService::global();
-  copts.expert.frontier.service = eval;
   copts.expert.frontier.tenant = tenant.spec.id;
   Tenant* tp = &tenant;  // stable: tenants_ holds unique_ptrs
   copts.expert.frontier.on_simulated_units = [tp](std::size_t units) {
     tp->eval_units += units;
   };
+
+  obs::Registry& reg = obs::Registry::global();
+  tenant.bots_counter =
+      reg.counter("service.tenant.bots", {{"tenant", tenant.spec.id}});
+  tenant.units_counter =
+      reg.counter("service.tenant.eval_units", {{"tenant", tenant.spec.id}});
+  return copts;
+}
+
+void CampaignService::activate(Tenant& tenant) {
+  tenant.phase = TenantPhase::Active;
+  core::Campaign::Options copts = wire_campaign(tenant);
   if (tenant.spec.drift) {
     tenant.detector = std::make_shared<resilience::DriftDetector>();
     // Invalidation is digest-keyed: a trip evicts only entries derived
     // from this tenant's own (stale) turnaround model, never a neighbor's.
-    copts.drift_monitor =
-        resilience::make_drift_monitor(tenant.detector, &eval->cache());
+    copts.drift_monitor = resilience::make_drift_monitor(
+        tenant.detector, &copts.expert.frontier.service->cache());
   }
   if (!options_.state_dir.empty()) {
     tenant.journal.emplace(journal_path(tenant.spec.id), copts);
@@ -240,27 +250,10 @@ void CampaignService::activate(Tenant& tenant) {
   }
   tenant.campaign = std::make_unique<core::Campaign>(
       options_.backend_factory(tenant.spec), copts);
-
-  obs::Registry& reg = obs::Registry::global();
-  tenant.bots_counter =
-      reg.counter("service.tenant.bots", {{"tenant", tenant.spec.id}});
-  tenant.units_counter =
-      reg.counter("service.tenant.eval_units", {{"tenant", tenant.spec.id}});
 }
 
 void CampaignService::restore_active(Tenant& tenant) {
-  tenant.utility = core::parse_utility(tenant.spec.utility);
-
-  core::Campaign::Options copts = campaign_options_for(tenant.spec);
-  eval::EvalService* eval =
-      options_.eval != nullptr ? options_.eval : &eval::EvalService::global();
-  copts.expert.frontier.service = eval;
-  copts.expert.frontier.tenant = tenant.spec.id;
-  Tenant* tp = &tenant;
-  copts.expert.frontier.on_simulated_units = [tp](std::size_t units) {
-    tp->eval_units += units;
-  };
-
+  core::Campaign::Options copts = wire_campaign(tenant);
   const std::string path = journal_path(tenant.spec.id);
   resilience::Recovered recovered = resilience::recover_campaign(path, copts);
 
@@ -274,8 +267,8 @@ void CampaignService::restore_active(Tenant& tenant) {
         tenant.detector->observe_bot(record.report, *record.history);
       }
     }
-    copts.drift_monitor =
-        resilience::make_drift_monitor(tenant.detector, &eval->cache());
+    copts.drift_monitor = resilience::make_drift_monitor(
+        tenant.detector, &copts.expert.frontier.service->cache());
   }
 
   tenant.journal.emplace(resilience::CampaignJournal::reopen(path, copts));
@@ -287,12 +280,6 @@ void CampaignService::restore_active(Tenant& tenant) {
   // eval_units restarts at zero: the re-planning a resumed campaign does
   // over a cold cache was already charged to the pre-crash process. The
   // journal-byte quota, in contrast, is crash-persistent (file size).
-
-  obs::Registry& reg = obs::Registry::global();
-  tenant.bots_counter =
-      reg.counter("service.tenant.bots", {{"tenant", tenant.spec.id}});
-  tenant.units_counter =
-      reg.counter("service.tenant.eval_units", {{"tenant", tenant.spec.id}});
 }
 
 void CampaignService::promote() {
