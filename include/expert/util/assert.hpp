@@ -7,17 +7,18 @@
 namespace expert::util {
 
 /// Error thrown when an EXPERT_REQUIRE precondition or EXPERT_CHECK
-/// invariant is violated. Carries the failing expression and location.
+/// invariant is violated. A refused precondition reaches the user, so its
+/// what() is its message alone; a broken invariant is a bug, and its what()
+/// also carries the failing expression and file:line for the report.
 class ContractViolation : public std::logic_error {
  public:
   explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
 };
 
-[[noreturn]] inline void contract_fail(const char* kind, const char* expr,
-                                       const char* file, int line,
-                                       const std::string& msg) {
+[[noreturn]] inline void invariant_fail(const char* expr, const char* file,
+                                        int line, const std::string& msg) {
   std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ":" << line;
+  os << "invariant failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
   throw ContractViolation(os.str());
 }
@@ -26,18 +27,15 @@ class ContractViolation : public std::logic_error {
 
 /// Precondition check on public API arguments. Always enabled: scheduling
 /// decisions feed real money/time trade-offs, so silent corruption is worse
-/// than the branch cost.
-#define EXPERT_REQUIRE(expr, msg)                                              \
-  do {                                                                         \
-    if (!(expr))                                                               \
-      ::expert::util::contract_fail("precondition", #expr, __FILE__, __LINE__, \
-                                    (msg));                                    \
+/// than the branch cost. `msg` is what the user reads.
+#define EXPERT_REQUIRE(expr, msg)                              \
+  do {                                                         \
+    if (!(expr)) throw ::expert::util::ContractViolation(msg); \
   } while (false)
 
 /// Internal invariant check.
-#define EXPERT_CHECK(expr, msg)                                              \
-  do {                                                                       \
-    if (!(expr))                                                             \
-      ::expert::util::contract_fail("invariant", #expr, __FILE__, __LINE__, \
-                                    (msg));                                  \
+#define EXPERT_CHECK(expr, msg)                                            \
+  do {                                                                     \
+    if (!(expr))                                                           \
+      ::expert::util::invariant_fail(#expr, __FILE__, __LINE__, (msg));    \
   } while (false)

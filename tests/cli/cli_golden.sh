@@ -7,8 +7,7 @@
 #
 #   --exit N           expected exit status (default 0)
 #   --stderr           compare stderr instead of stdout (usage text)
-#   --stderr-has TEXT  stderr must contain TEXT; error messages carry source
-#                      locations, so their stderr is matched, never golden
+#   --stderr-has TEXT  stderr must contain TEXT
 #   --history GEN      first run `GEN FILE` to write a history CSV into the
 #                      test's temp dir; each ARG equal to @HISTORY@ is
 #                      replaced by FILE
