@@ -169,26 +169,6 @@ void write_file(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-TEST(ManifestIo, UppercaseChecksumDigitIsRefused) {
-  const std::string path = fresh_dir("uppercase") + ".manifest";
-  write_manifest(path, sample_manifest(), kDigest);
-  const std::string original = read_file(path);
-  std::size_t letters = 0;
-  for (std::size_t line = 0; line < original.size();
-       line = original.find('\n', line) + 1) {
-    for (std::size_t i = line; i < line + 16; ++i) {
-      if (original[i] < 'a' || original[i] > 'f') continue;
-      std::string bytes = original;
-      bytes[i] = static_cast<char>(bytes[i] - 'a' + 'A');
-      write_file(path, bytes);
-      EXPECT_THROW(read_manifest(path, kDigest), util::ContractViolation)
-          << "checksum digit at byte " << i;
-      ++letters;
-    }
-  }
-  EXPECT_GT(letters, 0u);
-}
-
 /// The sample manifest with its last tenant record's fields (the
 /// space-separated tokens after "tenant") passed through `edit` and the
 /// line checksummed again, so that only the record grammar can refuse it.
